@@ -423,16 +423,19 @@ class HlOracle final : public DistanceOracle {
       Dist dist;
     };
     const std::size_t n = index_.NumNodes();
+    const HlLabelTable& in = index_.in_table();
+    const HlLabelTable& out = index_.out_table();
     std::vector<std::uint64_t> first(n + 1, 0);
     for (NodeId t : targets) {
-      for (const HlLabel& label : index_.InLabels(t)) ++first[label.hub + 1];
+      for (const HlEntry& label : in.Of(t)) ++first[label.hub + 1];
     }
     for (std::size_t r = 0; r < n; ++r) first[r + 1] += first[r];
     std::vector<HubEntry> entries(first[n]);
     std::vector<std::uint64_t> cursor(first.begin(), first.end() - 1);
     for (std::uint32_t j = 0; j < num_targets; ++j) {
-      for (const HlLabel& label : index_.InLabels(targets[j])) {
-        entries[cursor[label.hub]++] = {j, label.dist};
+      const NodeId t = targets[j];
+      for (std::uint64_t pos = in.first[t]; pos < in.first[t + 1]; ++pos) {
+        entries[cursor[in.hot[pos].hub]++] = {j, in.DistAt(pos)};
       }
     }
 
@@ -444,10 +447,13 @@ class HlOracle final : public DistanceOracle {
           for (std::size_t i = begin; i < end; ++i) {
             const std::span<Dist> row{result.data() + i * num_targets,
                                       num_targets};
-            for (const HlLabel& label : index_.OutLabels(sources[i])) {
-              for (std::uint64_t e = first[label.hub];
-                   e < first[label.hub + 1]; ++e) {
-                const Dist via = label.dist + entries[e].dist;
+            const NodeId s = sources[i];
+            for (std::uint64_t pos = out.first[s]; pos < out.first[s + 1];
+                 ++pos) {
+              const Rank hub = out.hot[pos].hub;
+              const Dist dist = out.DistAt(pos);
+              for (std::uint64_t e = first[hub]; e < first[hub + 1]; ++e) {
+                const Dist via = dist + entries[e].dist;
                 if (via < row[entries[e].target_index]) {
                   row[entries[e].target_index] = via;
                 }

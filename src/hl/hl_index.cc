@@ -5,6 +5,7 @@
 #include <numeric>
 #include <queue>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "hier/contraction.h"
@@ -24,6 +25,15 @@ namespace {
 /// while bounding how many hubs skip pruning against each other.
 constexpr std::size_t kHubRound = 32;
 
+/// A committed label during the build: the interleaved form the pruning
+/// merge joins read, flattened into an HlLabelTable at the end. "AHHL" v1
+/// images stored their labels in exactly this 16-byte form.
+struct BuildLabel {
+  Rank hub;
+  NodeId parent;
+  Dist dist;
+};
+
 /// One surviving (non-pruned) settle of a hub search, in settle order —
 /// parents always precede children.
 struct DeltaEntry {
@@ -41,10 +51,12 @@ struct HubDelta {
 /// labels from earlier hubs of the current round. Staged ranks are strictly
 /// larger than every committed rank, so the concatenation stays sorted.
 struct LabelCursor {
-  std::span<const HlLabel> a, b;
+  std::span<const BuildLabel> a, b;
   std::size_t i = 0;
   bool AtEnd() const { return i >= a.size() + b.size(); }
-  const HlLabel& Cur() const { return i < a.size() ? a[i] : b[i - a.size()]; }
+  const BuildLabel& Cur() const {
+    return i < a.size() ? a[i] : b[i - a.size()];
+  }
   void Next() { ++i; }
 };
 
@@ -115,16 +127,154 @@ class PrunedSearch {
   std::uint32_t round_ = 0;
 };
 
-/// Binary search for the label with the given hub rank; nullptr if absent.
-const HlLabel* FindLabel(std::span<const HlLabel> labels, Rank hub) {
+/// Parent of `v`'s label for `hub` (binary search over the hot entries,
+/// then one cold read); kInvalidNode if `v` has no such label or it is the
+/// hub's own label.
+NodeId ParentOf(const HlLabelTable& table, NodeId v, Rank hub) {
+  const std::span<const HlEntry> labels = table.Of(v);
   const auto it = std::lower_bound(
       labels.begin(), labels.end(), hub,
-      [](const HlLabel& l, Rank r) { return l.hub < r; });
-  if (it == labels.end() || it->hub != hub) return nullptr;
-  return &*it;
+      [](const HlEntry& e, Rank r) { return e.hub < r; });
+  if (it == labels.end() || it->hub != hub) return kInvalidNode;
+  return table.parent[table.first[v] + (it - labels.begin())];
+}
+
+/// Merge join of Lout(s) and Lin(t) over the hot entries. Returns the
+/// minimum of dout + din over common hubs and, via `best_rank`, its hub
+/// (ties: lowest rank). An overflow sentinel is a lower bound of its exact
+/// distance, so the overflow lists are consulted only when the bound would
+/// improve the current best.
+Dist MergeJoin(const HlLabelTable& out, NodeId s, const HlLabelTable& in,
+               NodeId t, Rank* best_rank) {
+  const HlEntry* const a_begin = out.hot.data() + out.first[s];
+  const HlEntry* const a_end = out.hot.data() + out.first[s + 1];
+  const HlEntry* const b_begin = in.hot.data() + in.first[t];
+  const HlEntry* const b_end = in.hot.data() + in.first[t + 1];
+  const HlEntry* a = a_begin;
+  const HlEntry* b = b_begin;
+  Dist best = kInfDist;
+  while (a != a_end && b != b_end) {
+    if (a->hub == b->hub) {
+      Dist d = Dist{a->dist} + b->dist;
+      if (d < best) {
+        if (a->dist == kHlDistOverflow || b->dist == kHlDistOverflow) {
+          d = out.DistAt(out.first[s] + (a - a_begin)) +
+              in.DistAt(in.first[t] + (b - b_begin));
+        }
+        if (d < best) {
+          best = d;
+          *best_rank = a->hub;
+        }
+      }
+      ++a;
+      ++b;
+    } else if (a->hub < b->hub) {
+      ++a;
+    } else {
+      ++b;
+    }
+  }
+  return best;
+}
+
+/// Appends one label entry at the table's next CSR position.
+void AppendLabel(HlLabelTable* table, Rank hub, NodeId parent, Dist dist) {
+  if (dist >= kHlDistOverflow) {
+    table->overflow.push_back({table->hot.size(), dist});
+    table->hot.push_back({hub, kHlDistOverflow});
+  } else {
+    table->hot.push_back({hub, static_cast<std::uint32_t>(dist)});
+  }
+  table->parent.push_back(parent);
+}
+
+std::size_t TableBytes(const HlLabelTable& table) {
+  return table.first.size() * sizeof(std::uint64_t) +
+         table.hot.size() * sizeof(HlEntry) +
+         table.parent.size() * sizeof(NodeId) +
+         table.overflow.size() * sizeof(HlOverflow);
+}
+
+/// Load-time validation: the image is outside input, and every check below
+/// guards an index the query paths would otherwise read out of bounds.
+void Require(bool ok, const char* check) {
+  if (!ok) throw std::runtime_error(std::string("HlIndex::Load: ") + check);
+}
+
+void ValidateTable(const HlLabelTable& table, std::size_t n) {
+  Require(table.first.size() == n + 1, "offset table size != n + 1");
+  Require(table.first.front() == 0, "offsets do not start at 0");
+  for (std::size_t v = 0; v < n; ++v) {
+    Require(table.first[v] <= table.first[v + 1], "offsets not monotone");
+  }
+  Require(table.first[n] == table.hot.size(),
+          "offsets do not end at the label count");
+  Require(table.parent.size() == table.hot.size(),
+          "parent count != label count");
+  std::size_t sentinels = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    for (std::uint64_t i = table.first[v]; i < table.first[v + 1]; ++i) {
+      Require(table.hot[i].hub < n, "hub rank out of range");
+      Require(i == table.first[v] || table.hot[i - 1].hub < table.hot[i].hub,
+              "hub ranks not strictly ascending within a label");
+      Require(table.parent[i] < n || table.parent[i] == kInvalidNode,
+              "parent out of range");
+      if (table.hot[i].dist == kHlDistOverflow) ++sentinels;
+    }
+  }
+  // A simple path has at most n - 1 arcs of weight < kMaxWeight, which also
+  // keeps the sum of two label distances from wrapping.
+  const Dist max_dist = static_cast<Dist>(n) * kMaxWeight;
+  for (std::size_t k = 0; k < table.overflow.size(); ++k) {
+    const HlOverflow& o = table.overflow[k];
+    Require(k == 0 || table.overflow[k - 1].pos < o.pos,
+            "overflow entries not sorted");
+    Require(o.pos < table.hot.size(), "overflow position out of range");
+    Require(table.hot[o.pos].dist == kHlDistOverflow,
+            "overflow entry points at a non-sentinel label");
+    Require(o.dist >= kHlDistOverflow && o.dist <= max_dist,
+            "overflow distance out of range");
+  }
+  Require(table.overflow.size() == sentinels,
+          "sentinel label without an overflow entry");
+}
+
+HlLabelTable ReadV1Table(BinaryReader& r) {
+  HlLabelTable table;
+  table.first = r.Vector<std::uint64_t>();
+  const std::vector<BuildLabel> labels = r.Vector<BuildLabel>();
+  table.hot.reserve(labels.size());
+  table.parent.reserve(labels.size());
+  for (const BuildLabel& l : labels) {
+    AppendLabel(&table, l.hub, l.parent, l.dist);
+  }
+  return table;
+}
+
+HlLabelTable ReadV2Table(BinaryReader& r) {
+  HlLabelTable table;
+  table.first = r.Vector<std::uint64_t>();
+  table.hot = r.Vector<HlEntry>();
+  table.parent = r.Vector<NodeId>();
+  table.overflow = r.Vector<HlOverflow>();
+  return table;
+}
+
+void WriteTable(BinaryWriter& w, const HlLabelTable& table) {
+  w.Vector(table.first);
+  w.Vector(table.hot);
+  w.Vector(table.parent);
+  w.Vector(table.overflow);
 }
 
 }  // namespace
+
+Dist HlLabelTable::OverflowDist(std::uint64_t pos) const {
+  const auto it = std::lower_bound(
+      overflow.begin(), overflow.end(), pos,
+      [](const HlOverflow& o, std::uint64_t p) { return o.pos < p; });
+  return it->dist;  // Build and Load give every sentinel slot its entry.
+}
 
 HlIndex HlIndex::Build(const Graph& g, const HlParams& params) {
   Timer timer;
@@ -175,8 +325,8 @@ HlIndex HlIndex::BuildWithHubOrder(const Graph& g,
   // in-flight searches read. Staged labels: this round's commits, written
   // and read exclusively by the serial committer, published at the round
   // barrier — so commits never race the searches.
-  std::vector<std::vector<HlLabel>> in_committed(n), out_committed(n);
-  std::vector<std::vector<HlLabel>> in_staged(n), out_staged(n);
+  std::vector<std::vector<BuildLabel>> in_committed(n), out_committed(n);
+  std::vector<std::vector<BuildLabel>> in_staged(n), out_staged(n);
   std::vector<NodeId> touched_in, touched_out;
 
   std::vector<std::unique_ptr<PrunedSearch>> scratch(
@@ -243,7 +393,7 @@ HlIndex HlIndex::BuildWithHubOrder(const Graph& g,
             }
             kept_stamp[e.node] = commit_round;
             if (in_staged[e.node].empty()) touched_in.push_back(e.node);
-            in_staged[e.node].push_back(HlLabel{r, e.parent, e.dist});
+            in_staged[e.node].push_back(BuildLabel{r, e.parent, e.dist});
           }
           ++commit_round;
           for (const DeltaEntry& e : delta.out) {
@@ -258,7 +408,7 @@ HlIndex HlIndex::BuildWithHubOrder(const Graph& g,
             }
             kept_stamp[e.node] = commit_round;
             if (out_staged[e.node].empty()) touched_out.push_back(e.node);
-            out_staged[e.node].push_back(HlLabel{r, e.parent, e.dist});
+            out_staged[e.node].push_back(BuildLabel{r, e.parent, e.dist});
           }
         },
         threads);
@@ -281,29 +431,27 @@ HlIndex HlIndex::BuildWithHubOrder(const Graph& g,
     touched_out.clear();
   }
 
-  // Flatten the per-node vectors into the query-time CSR tables.
-  index.in_first_.assign(n + 1, 0);
-  index.out_first_.assign(n + 1, 0);
-  std::size_t total_in = 0, total_out = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    total_in += in_committed[v].size();
-    total_out += out_committed[v].size();
-  }
-  index.in_labels_.reserve(total_in);
-  index.out_labels_.reserve(total_out);
-  for (NodeId v = 0; v < n; ++v) {
-    index.in_first_[v] = index.in_labels_.size();
-    index.in_labels_.insert(index.in_labels_.end(), in_committed[v].begin(),
-                            in_committed[v].end());
-    index.out_first_[v] = index.out_labels_.size();
-    index.out_labels_.insert(index.out_labels_.end(),
-                             out_committed[v].begin(), out_committed[v].end());
-  }
-  index.in_first_[n] = index.in_labels_.size();
-  index.out_first_[n] = index.out_labels_.size();
+  // Flatten the per-node vectors into the query-time hot/cold tables.
+  const auto flatten = [n](const std::vector<std::vector<BuildLabel>>& labels,
+                           HlLabelTable* table) {
+    std::size_t total = 0;
+    for (const std::vector<BuildLabel>& l : labels) total += l.size();
+    table->first.assign(n + 1, 0);
+    table->hot.reserve(total);
+    table->parent.reserve(total);
+    for (NodeId v = 0; v < n; ++v) {
+      table->first[v] = table->hot.size();
+      for (const BuildLabel& l : labels[v]) {
+        AppendLabel(table, l.hub, l.parent, l.dist);
+      }
+    }
+    table->first[n] = table->hot.size();
+  };
+  flatten(in_committed, &index.in_);
+  flatten(out_committed, &index.out_);
 
-  index.build_stats_.in_labels = index.in_labels_.size();
-  index.build_stats_.out_labels = index.out_labels_.size();
+  index.build_stats_.in_labels = index.in_.hot.size();
+  index.build_stats_.out_labels = index.out_.hot.size();
   index.build_stats_.max_live_label_buffers = max_live;
   index.build_stats_.label_window = window;
   return index;
@@ -311,26 +459,8 @@ HlIndex HlIndex::BuildWithHubOrder(const Graph& g,
 
 Dist HlIndex::Distance(NodeId s, NodeId t) const {
   if (s == t) return 0;
-  // The serving hot path: a raw two-pointer merge join over the flat label
-  // arrays, free of the LabelCursor segment checks the build needs.
-  const HlLabel* a = out_labels_.data() + out_first_[s];
-  const HlLabel* const a_end = out_labels_.data() + out_first_[s + 1];
-  const HlLabel* b = in_labels_.data() + in_first_[t];
-  const HlLabel* const b_end = in_labels_.data() + in_first_[t + 1];
-  Dist best = kInfDist;
-  while (a != a_end && b != b_end) {
-    if (a->hub == b->hub) {
-      const Dist d = a->dist + b->dist;
-      if (d < best) best = d;
-      ++a;
-      ++b;
-    } else if (a->hub < b->hub) {
-      ++a;
-    } else {
-      ++b;
-    }
-  }
-  return best;
+  Rank best_rank = 0;
+  return MergeJoin(out_, s, in_, t, &best_rank);
 }
 
 PathResult HlIndex::Path(NodeId s, NodeId t) const {
@@ -340,27 +470,8 @@ PathResult HlIndex::Path(NodeId s, NodeId t) const {
     result.length = 0;
     return result;
   }
-  // Merge join tracking the minimizing hub (ties: lowest rank).
-  const std::span<const HlLabel> a = OutLabels(s);
-  const std::span<const HlLabel> b = InLabels(t);
-  std::size_t i = 0, j = 0;
-  Dist best = kInfDist;
   Rank best_rank = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i].hub == b[j].hub) {
-      const Dist d = a[i].dist + b[j].dist;
-      if (d < best) {
-        best = d;
-        best_rank = a[i].hub;
-      }
-      ++i;
-      ++j;
-    } else if (a[i].hub < b[j].hub) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
+  const Dist best = MergeJoin(out_, s, in_, t, &best_rank);
   if (best == kInfDist) return result;
 
   const NodeId hub = hub_of_rank_[best_rank];
@@ -369,12 +480,10 @@ PathResult HlIndex::Path(NodeId s, NodeId t) const {
   result.nodes.push_back(s);
   NodeId u = s;
   for (std::size_t guard = 0; u != hub; ++guard) {
-    const HlLabel* label = FindLabel(OutLabels(u), best_rank);
-    if (label == nullptr || label->parent == kInvalidNode ||
-        guard > NumNodes()) {
+    u = ParentOf(out_, u, best_rank);
+    if (u == kInvalidNode || guard > NumNodes()) {
       return PathResult{};  // corrupt index; never hit by a built/loaded one
     }
-    u = label->parent;
     result.nodes.push_back(u);
   }
   // Backward leg hub → t, walked from t up the in-label parents.
@@ -382,12 +491,8 @@ PathResult HlIndex::Path(NodeId s, NodeId t) const {
   u = t;
   for (std::size_t guard = 0; u != hub; ++guard) {
     tail.push_back(u);
-    const HlLabel* label = FindLabel(InLabels(u), best_rank);
-    if (label == nullptr || label->parent == kInvalidNode ||
-        guard > NumNodes()) {
-      return PathResult{};
-    }
-    u = label->parent;
+    u = ParentOf(in_, u, best_rank);
+    if (u == kInvalidNode || guard > NumNodes()) return PathResult{};
   }
   result.nodes.insert(result.nodes.end(), tail.rbegin(), tail.rend());
   result.length = best;
@@ -395,19 +500,16 @@ PathResult HlIndex::Path(NodeId s, NodeId t) const {
 }
 
 std::size_t HlIndex::SizeBytes() const {
-  return hub_of_rank_.size() * sizeof(NodeId) +
-         (in_first_.size() + out_first_.size()) * sizeof(std::uint64_t) +
-         (in_labels_.size() + out_labels_.size()) * sizeof(HlLabel);
+  return hub_of_rank_.size() * sizeof(NodeId) + TableBytes(in_) +
+         TableBytes(out_);
 }
 
 void HlIndex::Save(std::ostream& out) const {
   BinaryWriter w(out);
-  w.Magic("AHHL", 1);
+  w.Magic("AHHL", 2);
   w.Vector(hub_of_rank_);
-  w.Vector(in_first_);
-  w.Vector(in_labels_);
-  w.Vector(out_first_);
-  w.Vector(out_labels_);
+  WriteTable(w, in_);
+  WriteTable(w, out_);
   w.Pod(build_stats_.seconds);
   w.Pod<std::uint64_t>(build_stats_.max_live_label_buffers);
   w.Pod<std::uint64_t>(build_stats_.label_window);
@@ -415,24 +517,31 @@ void HlIndex::Save(std::ostream& out) const {
 
 HlIndex HlIndex::Load(std::istream& in) {
   BinaryReader r(in);
-  r.Magic("AHHL", 1);
+  const std::uint8_t version = r.Magic("AHHL", 2);
+  Require(version >= 1, "unsupported version");
   HlIndex index;
   index.hub_of_rank_ = r.Vector<NodeId>();
-  index.in_first_ = r.Vector<std::uint64_t>();
-  index.in_labels_ = r.Vector<HlLabel>();
-  index.out_first_ = r.Vector<std::uint64_t>();
-  index.out_labels_ = r.Vector<HlLabel>();
+  if (version == 1) {
+    index.in_ = ReadV1Table(r);
+    index.out_ = ReadV1Table(r);
+  } else {
+    index.in_ = ReadV2Table(r);
+    index.out_ = ReadV2Table(r);
+  }
   index.build_stats_.seconds = r.Pod<double>();
   index.build_stats_.max_live_label_buffers = r.Pod<std::uint64_t>();
   index.build_stats_.label_window = r.Pod<std::uint64_t>();
-  index.build_stats_.in_labels = index.in_labels_.size();
-  index.build_stats_.out_labels = index.out_labels_.size();
+  index.build_stats_.in_labels = index.in_.hot.size();
+  index.build_stats_.out_labels = index.out_.hot.size();
+
   const std::size_t n = index.hub_of_rank_.size();
-  if (index.in_first_.size() != n + 1 || index.out_first_.size() != n + 1 ||
-      (n > 0 && (index.in_first_.back() != index.in_labels_.size() ||
-                 index.out_first_.back() != index.out_labels_.size()))) {
-    throw std::runtime_error("HlIndex::Load: inconsistent label tables");
+  std::vector<bool> seen(n, false);
+  for (const NodeId v : index.hub_of_rank_) {
+    Require(v < n && !seen[v], "hub order is not a permutation");
+    seen[v] = true;
   }
+  ValidateTable(index.in_, n);
+  ValidateTable(index.out_, n);
   return index;
 }
 

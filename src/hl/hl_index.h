@@ -14,10 +14,21 @@
 // from, which preserves exactness (the highest-ranked node on a shortest
 // path is never pruned along it) while cutting label growth.
 //
-// Paths are native: each label also stores the adjacent *parent* one hop
+// Paths are native: each label entry also has the adjacent *parent* one hop
 // toward (out-labels) or from (in-labels) the hub, so the best hub's two
 // legs unroll by parent-pointer walks with one binary search per hop —
 // zero distance probes (asserted by the conformance suite).
+//
+// Storage layout. Each direction is one HlLabelTable: CSR offsets over
+// nodes and, in that CSR order, a *hot* array of 8-byte (hub rank, 32-bit
+// distance) entries — all a distance merge join or a matrix bucket reads —
+// and a *cold* parent array read only by the Path walk. A label distance
+// that does not fit 32 bits (possible since arc weights go up to
+// kMaxWeight - 1) is stored as the sentinel kHlDistOverflow, a lower bound
+// of the true value, with the exact distance in the table's overflow list
+// sorted by CSR position; merge joins consult it only when the bound would
+// improve their current best. Persisted as "AHHL" v2; Load also reads the
+// v1 image (16-byte interleaved labels) and validates every image.
 //
 // The parallel build is round-synchronous and deterministic: hubs run in
 // fixed rounds of kHubRound, each round's searches prune only against
@@ -38,18 +49,54 @@
 
 namespace ah {
 
-/// One hub label. 16 bytes, no padding, trivially copyable (serialized and
-/// compared raw by the determinism tests).
-struct HlLabel {
-  Rank hub;       ///< Hub rank; strictly ascending within one label array.
-  NodeId parent;  ///< Adjacent node one hop toward (out) / from (in) the
-                  ///< hub; kInvalidNode on the hub's own label.
-  Dist dist;      ///< Label distance (v→hub for out, hub→v for in).
+/// Hot-entry distance of a label whose exact distance is >= 2^32 - 1: a
+/// lower bound of the exact value, which lives in HlLabelTable::overflow.
+inline constexpr std::uint32_t kHlDistOverflow = 0xFFFFFFFFu;
+
+/// One hot label entry. 8 bytes, no padding, trivially copyable (serialized
+/// raw and compared by the determinism tests).
+struct HlEntry {
+  Rank hub;            ///< Hub rank; strictly ascending within one label.
+  std::uint32_t dist;  ///< Label distance (v→hub for out, hub→v for in), or
+                       ///< kHlDistOverflow.
+
+  bool operator==(const HlEntry&) const = default;
 };
 
-inline bool operator==(const HlLabel& a, const HlLabel& b) {
-  return a.hub == b.hub && a.parent == b.parent && a.dist == b.dist;
-}
+/// The exact distance of the entry at CSR position `pos`, whose hot
+/// distance is kHlDistOverflow.
+struct HlOverflow {
+  std::uint64_t pos;
+  Dist dist;
+
+  bool operator==(const HlOverflow&) const = default;
+};
+
+/// One direction's labels (every node's in-labels, or every node's
+/// out-labels). `hot` and `parent` are parallel arrays in CSR order.
+struct HlLabelTable {
+  std::vector<std::uint64_t> first;  ///< CSR offsets, size n+1.
+  std::vector<HlEntry> hot;
+  /// Adjacent node one hop toward (out) / from (in) the hub; kInvalidNode
+  /// on the hub's own label.
+  std::vector<NodeId> parent;
+  std::vector<HlOverflow> overflow;  ///< Sorted by pos.
+
+  std::span<const HlEntry> Of(NodeId v) const {
+    return {hot.data() + first[v], hot.data() + first[v + 1]};
+  }
+
+  /// Exact distance of the entry at CSR position `pos`.
+  Dist DistAt(std::uint64_t pos) const {
+    const std::uint32_t d = hot[pos].dist;
+    return d != kHlDistOverflow ? d : OverflowDist(pos);
+  }
+
+  bool operator==(const HlLabelTable&) const = default;
+
+ private:
+  Dist OverflowDist(std::uint64_t pos) const;
+};
 
 struct HlBuildStats {
   double seconds = 0;
@@ -96,27 +143,20 @@ class HlIndex {
   /// probes. Empty nodes iff unreachable.
   PathResult Path(NodeId s, NodeId t) const;
 
-  std::span<const HlLabel> OutLabels(NodeId v) const {
-    return {out_labels_.data() + out_first_[v],
-            out_labels_.data() + out_first_[v + 1]};
-  }
-  std::span<const HlLabel> InLabels(NodeId v) const {
-    return {in_labels_.data() + in_first_[v],
-            in_labels_.data() + in_first_[v + 1]};
-  }
-
-  /// Raw tables, exposed so the build-determinism test can assert
-  /// bit-identity across thread counts.
-  const std::vector<HlLabel>& in_labels() const { return in_labels_; }
-  const std::vector<HlLabel>& out_labels() const { return out_labels_; }
-  const std::vector<std::uint64_t>& in_offsets() const { return in_first_; }
-  const std::vector<std::uint64_t>& out_offsets() const { return out_first_; }
+  /// The label tables: read by the bucket-based DistanceMatrix, and exposed
+  /// so the build-determinism test can assert bit-identity across thread
+  /// counts.
+  const HlLabelTable& in_table() const { return in_; }
+  const HlLabelTable& out_table() const { return out_; }
   const std::vector<NodeId>& hub_of_rank() const { return hub_of_rank_; }
 
   std::size_t SizeBytes() const;
 
-  /// Versioned persistence ("AHHL"). Loaded indexes answer queries without
-  /// any graph: the labels are self-contained.
+  /// Versioned persistence ("AHHL"): Save writes v2; Load reads v1 and v2
+  /// and validates every table (offsets, hub ranks, parents, overflow
+  /// entries), throwing std::runtime_error naming the failed check. Loaded
+  /// indexes answer queries without any graph: the labels are
+  /// self-contained.
   void Save(std::ostream& out) const;
   static HlIndex Load(std::istream& in);
 
@@ -129,11 +169,9 @@ class HlIndex {
                                    std::vector<NodeId> hub_of_rank,
                                    const HlParams& params);
 
-  std::vector<NodeId> hub_of_rank_;      // rank -> node id
-  std::vector<std::uint64_t> in_first_;  // CSR offsets, size n+1
-  std::vector<std::uint64_t> out_first_;
-  std::vector<HlLabel> in_labels_;
-  std::vector<HlLabel> out_labels_;
+  std::vector<NodeId> hub_of_rank_;  // rank -> node id
+  HlLabelTable in_;
+  HlLabelTable out_;
   HlBuildStats build_stats_;
 };
 

@@ -6,6 +6,7 @@
 // and throw std::runtime_error on any truncation or mismatch.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <iosfwd>
@@ -77,6 +78,9 @@ class BinaryReader {
     return version;
   }
 
+  /// Reads a length-prefixed vector. The payload is read in fixed-size
+  /// chunks and the vector grows only as bytes arrive, so a forged count
+  /// fails as truncated input instead of forcing a huge allocation up front.
   template <typename T>
   std::vector<T> Vector(std::uint64_t max_count = (1ull << 40)) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -84,16 +88,23 @@ class BinaryReader {
     if (count > max_count) {
       throw std::runtime_error("BinaryReader: implausible vector size");
     }
-    std::vector<T> values(count);
-    if (count > 0) {
-      in_.read(reinterpret_cast<char*>(values.data()),
-               static_cast<std::streamsize>(count * sizeof(T)));
+    constexpr std::uint64_t kChunk =
+        sizeof(T) >= kChunkBytes ? 1 : kChunkBytes / sizeof(T);
+    std::vector<T> values;
+    for (std::uint64_t done = 0; done < count;) {
+      const std::uint64_t take = std::min(kChunk, count - done);
+      values.resize(done + take);
+      in_.read(reinterpret_cast<char*>(values.data() + done),
+               static_cast<std::streamsize>(take * sizeof(T)));
       if (!in_) throw std::runtime_error("BinaryReader: truncated input");
+      done += take;
     }
     return values;
   }
 
  private:
+  static constexpr std::uint64_t kChunkBytes = 1 << 20;
+
   std::istream& in_;
 };
 

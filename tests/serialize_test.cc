@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "ch/ch_index.h"
 #include "core/ah_query.h"
@@ -25,11 +26,16 @@ TEST(BinaryIoTest, VectorRoundTrip) {
   std::stringstream ss;
   BinaryWriter w(ss);
   std::vector<std::uint64_t> values = {1, 2, 3, 1ull << 50};
+  // Spans several of the reader's fixed-size chunks, ending mid-chunk.
+  std::vector<std::uint64_t> large(300001);
+  for (std::size_t i = 0; i < large.size(); ++i) large[i] = i * 7 + 1;
   w.Vector(values);
   w.Vector(std::vector<std::uint64_t>{});
+  w.Vector(large);
   BinaryReader r(ss);
   EXPECT_EQ(r.Vector<std::uint64_t>(), values);
   EXPECT_TRUE(r.Vector<std::uint64_t>().empty());
+  EXPECT_EQ(r.Vector<std::uint64_t>(), large);
 }
 
 TEST(BinaryIoTest, MagicValidation) {
@@ -60,6 +66,24 @@ TEST(BinaryIoTest, TruncationDetected) {
   w.Pod<std::uint64_t>(10);  // Vector length without payload.
   BinaryReader r(ss);
   EXPECT_THROW(r.Vector<std::uint64_t>(), std::runtime_error);
+}
+
+// A forged length prefix must fail as truncated input once the bytes run
+// out, not allocate 2^39 elements (4 TiB) before reading any of them.
+TEST(BinaryIoTest, ForgedVectorCountFailsAsTruncation) {
+  std::stringstream ss;
+  BinaryWriter w(ss);
+  w.Pod<std::uint64_t>(1ull << 39);
+  w.Pod<std::uint64_t>(1);
+  w.Pod<std::uint64_t>(2);
+  BinaryReader r(ss);
+  try {
+    r.Vector<std::uint64_t>();
+    FAIL() << "forged count accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(GraphSerializeTest, RoundTripPreservesEverything) {

@@ -34,6 +34,25 @@ inline Graph MakeRandomGraph(std::size_t n, std::size_t extra,
   return builder.Build();
 }
 
+/// MakeRandomGraph with every even node's out-arcs reweighted to within
+/// 1000 of kMaxWeight - 1, the largest valid weight: most multi-arc
+/// distances exceed 2^32 - 2, so 32-bit distance storage must fall back to
+/// its overflow path.
+inline Graph MakeHeavyWeightGraph(std::size_t n, std::size_t extra,
+                                  std::uint64_t seed) {
+  Graph g = MakeRandomGraph(n, extra, seed);
+  Rng rng(seed);
+  for (NodeId v = 0; v < n; v += 2) {
+    std::vector<NodeId> heads;
+    for (const Arc& arc : g.OutArcs(v)) heads.push_back(arc.head);
+    for (const NodeId head : heads) {
+      g.SetArcWeight(v, head,
+                     static_cast<Weight>(kMaxWeight - 1 - rng.Uniform(1000)));
+    }
+  }
+  return g;
+}
+
 /// A small road-like network from the synthetic generator (strongly
 /// connected, hierarchical road classes) — the inputs AH's pruned query
 /// mode is specified for.
