@@ -226,40 +226,19 @@ bool FoldV1Reply(const std::string& line, std::size_t skip, Dist* checksum) {
   return true;
 }
 
-// Folds every distance in a v2 reply frame payload. Wire distances travel
-// as-is (kInfDist included), so the same unreachable -> 0 fold applies.
+// Folds every distance in a v2 reply frame of the expected kind. Wire
+// distances travel as-is (kInfDist included), so the same unreachable -> 0
+// fold applies.
 bool FoldV2Reply(RequestKind kind, const BinaryClient::Frame& frame,
                  Dist* checksum) {
-  if (frame.header.status != 0) return false;
-  const char* p = frame.payload.data();
-  const std::size_t size = frame.payload.size();
-  switch (kind) {
-    case RequestKind::kDistance:
-      if (size != 8) return false;
-      FoldDist(static_cast<Dist>(GetU64(p)), checksum);
-      return true;
-    case RequestKind::kBatch: {
-      if (size < 4) return false;
-      const std::uint32_t n = GetU32(p);
-      if (size != 4 + 8 * static_cast<std::size_t>(n)) return false;
-      for (std::uint32_t i = 0; i < n; ++i) {
-        FoldDist(static_cast<Dist>(GetU64(p + 4 + 8 * i)), checksum);
-      }
-      return true;
-    }
-    case RequestKind::kMatrix: {
-      if (size < 8) return false;
-      const std::uint64_t cells = static_cast<std::uint64_t>(GetU32(p)) *
-                                  static_cast<std::uint64_t>(GetU32(p + 4));
-      if (size != 8 + 8 * cells) return false;
-      for (std::uint64_t i = 0; i < cells; ++i) {
-        FoldDist(static_cast<Dist>(GetU64(p + 8 + 8 * i)), checksum);
-      }
-      return true;
-    }
-    default:
-      return false;
+  Reply reply;
+  if (!DecodeReply(frame.header, frame.payload, &reply) ||
+      reply.kind != kind) {
+    return false;
   }
+  if (kind == RequestKind::kDistance) FoldDist(reply.dist, checksum);
+  for (const Dist d : reply.dists) FoldDist(d, checksum);
+  return true;
 }
 
 struct RunResult {

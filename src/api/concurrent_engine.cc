@@ -148,15 +148,6 @@ std::vector<PathResult> ConcurrentEngine::BatchShortestPath(
   return results;
 }
 
-MatrixOracle ConcurrentEngine::Matrix(std::string_view backend) const {
-  EpochHandle epoch = registry_->Current(backend);
-  if (!epoch) {
-    throw std::invalid_argument("ConcurrentEngine: unknown backend '" +
-                                std::string(backend) + "'");
-  }
-  return MatrixOracle(std::move(epoch), num_threads_);
-}
-
 std::vector<Dist> ConcurrentEngine::DistanceMatrix(
     std::span<const NodeId> sources, std::span<const NodeId> targets,
     std::size_t num_threads, std::string_view backend) const {

@@ -35,7 +35,6 @@
 
 #include "api/distance_oracle.h"
 #include "api/index_registry.h"
-#include "api/matrix_oracle.h"
 #include "routing/path.h"
 #include "util/thread_annotations.h"
 #include "util/types.h"
@@ -124,13 +123,7 @@ class ConcurrentEngine {
       const std::vector<QueryPair>& queries, std::size_t num_threads = 0,
       std::string_view backend = {});
 
-  /// Many-to-many surface: pins the current epoch of `backend` (empty =
-  /// default) in a MatrixOracle whose Distances() fan out across
-  /// NumThreads() workers. Throws std::invalid_argument on an unknown
-  /// backend. Thread-safe.
-  MatrixOracle Matrix(std::string_view backend = {}) const;
-
-  /// One-shot convenience: the row-major |sources| × |targets| matrix on
+  /// Many-to-many surface: the row-major |sources| × |targets| matrix on
   /// `backend`'s current epoch (see DistanceOracle::DistanceMatrix).
   /// `num_threads` overrides the engine fan-out for this call (0 = engine
   /// default). Thread-safe.

@@ -1,62 +1,41 @@
 #include "server/binary_protocol.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
-#include <utility>
-#include <vector>
+
+#include "server/verb_table.h"
 
 namespace ah::server {
 
 namespace {
 
-ParseResult Fail(ErrorCode code, std::string message) {
-  ParseResult r;
-  r.ok = false;
-  r.code = code;
-  r.message = std::move(message);
-  return r;
-}
-
-/// Range-checks one node id against the served graph, mirroring the text
-/// parser's kBadNode wording so both protocols report the same failure.
-bool CheckNode(std::uint32_t v, const ParseLimits& limits, NodeId* out,
-               ParseResult* error) {
-  if (v >= limits.num_nodes) {
-    *error = Fail(ErrorCode::kBadNode,
-                  "node id " + std::to_string(v) + " out of range [0, " +
-                      std::to_string(limits.num_nodes) + ")");
-    return false;
-  }
-  *out = static_cast<NodeId>(v);
-  return true;
-}
-
-/// A cursor over the opcode body with exact-size enforcement: trailing or
-/// missing bytes are a kBadRequest, never silently tolerated.
+/// A cursor over a payload; reads fail rather than run past its end.
 class BodyReader {
  public:
   explicit BodyReader(std::string_view body) : body_(body) {}
 
   bool U32(std::uint32_t* out) {
-    if (body_.size() - at_ < 4) return false;
+    if (Remaining() < 4) return false;
     *out = GetU32(body_.data() + at_);
     at_ += 4;
     return true;
   }
-
+  bool U64(std::uint64_t* out) {
+    if (Remaining() < 8) return false;
+    *out = GetU64(body_.data() + at_);
+    at_ += 8;
+    return true;
+  }
   std::size_t Remaining() const { return body_.size() - at_; }
-  std::string_view Rest() const { return body_.substr(at_); }
+  /// True when exactly `count` items of `width` bytes are left. Checked
+  /// before a count sizes anything, so a forged count cannot overflow.
+  bool Holds(std::uint64_t count, std::size_t width) const {
+    return Remaining() % width == 0 && Remaining() / width == count;
+  }
 
  private:
   std::string_view body_;
   std::size_t at_ = 0;
 };
-
-ParseResult SizeMismatch(std::string_view what) {
-  return Fail(ErrorCode::kBadRequest,
-              "malformed " + std::string(what) + " payload");
-}
 
 }  // namespace
 
@@ -171,253 +150,6 @@ std::string EncodeRequestFrame(Opcode opcode, std::uint64_t request_id,
                      payload);
 }
 
-std::string EncodeRequestBody(const Request& request) {
-  std::string body;
-  switch (request.kind) {
-    case RequestKind::kDistance:
-    case RequestKind::kPath:
-      PutU32(&body, request.s);
-      PutU32(&body, request.t);
-      break;
-    case RequestKind::kKNearest:
-      PutU32(&body, request.s);
-      PutU32(&body, request.k);
-      break;
-    case RequestKind::kBatch:
-      PutU32(&body, static_cast<std::uint32_t>(request.pairs.size()));
-      for (const auto& [s, t] : request.pairs) {
-        PutU32(&body, s);
-        PutU32(&body, t);
-      }
-      break;
-    case RequestKind::kMatrix:
-      PutU32(&body, static_cast<std::uint32_t>(request.sources.size()));
-      PutU32(&body, static_cast<std::uint32_t>(request.targets.size()));
-      for (const NodeId s : request.sources) PutU32(&body, s);
-      for (const NodeId t : request.targets) PutU32(&body, t);
-      break;
-    case RequestKind::kUpdate:
-      PutU32(&body, request.s);
-      PutU32(&body, request.t);
-      PutU32(&body, request.weight);
-      break;
-    case RequestKind::kUpdateFile:
-      body = request.path;
-      break;
-    case RequestKind::kStats:
-    case RequestKind::kInvalidate:
-    case RequestKind::kUse:  // the backend travels in the frame prefix
-    case RequestKind::kReload:
-    case RequestKind::kQuit:
-      break;
-  }
-  return body;
-}
-
-Opcode OpcodeForKind(RequestKind kind) {
-  switch (kind) {
-    case RequestKind::kDistance: return Opcode::kDistance;
-    case RequestKind::kPath: return Opcode::kPath;
-    case RequestKind::kKNearest: return Opcode::kKNearest;
-    case RequestKind::kBatch: return Opcode::kBatch;
-    case RequestKind::kMatrix: return Opcode::kMatrix;
-    case RequestKind::kStats: return Opcode::kStats;
-    case RequestKind::kInvalidate: return Opcode::kInvalidate;
-    case RequestKind::kUse: return Opcode::kUse;
-    case RequestKind::kUpdate: return Opcode::kUpdate;
-    case RequestKind::kUpdateFile: return Opcode::kUpdateFile;
-    case RequestKind::kReload: return Opcode::kReload;
-    case RequestKind::kQuit: return Opcode::kQuit;
-  }
-  return Opcode::kQuit;
-}
-
-ParseResult DecodeRequest(const FrameHeader& header, std::string_view payload,
-                          const ParseLimits& limits) {
-  if (payload.size() < header.backend_len) {
-    return Fail(ErrorCode::kBadRequest,
-                "backend-name prefix longer than the payload");
-  }
-  const std::string_view backend = payload.substr(0, header.backend_len);
-  BodyReader body(payload.substr(header.backend_len));
-
-  ParseResult result;
-  result.ok = true;
-  Request& req = result.request;
-  req.backend = std::string(backend);
-
-  switch (header.opcode) {
-    case Opcode::kDistance:
-    case Opcode::kPath: {
-      req.kind = header.opcode == Opcode::kDistance ? RequestKind::kDistance
-                                                    : RequestKind::kPath;
-      std::uint32_t s = 0;
-      std::uint32_t t = 0;
-      if (!body.U32(&s) || !body.U32(&t) || body.Remaining() != 0) {
-        return SizeMismatch(req.kind == RequestKind::kDistance ? "distance"
-                                                               : "path");
-      }
-      ParseResult error;
-      if (!CheckNode(s, limits, &req.s, &error)) return error;
-      if (!CheckNode(t, limits, &req.t, &error)) return error;
-      return result;
-    }
-    case Opcode::kKNearest: {
-      req.kind = RequestKind::kKNearest;
-      std::uint32_t s = 0;
-      std::uint32_t k = 0;
-      if (!body.U32(&s) || !body.U32(&k) || body.Remaining() != 0) {
-        return SizeMismatch("k-nearest");
-      }
-      ParseResult error;
-      if (!CheckNode(s, limits, &req.s, &error)) return error;
-      if (k == 0) {
-        return Fail(ErrorCode::kBadRequest, "k must be a positive integer");
-      }
-      req.k = k;
-      return result;
-    }
-    case Opcode::kBatch: {
-      req.kind = RequestKind::kBatch;
-      std::uint32_t n = 0;
-      if (!body.U32(&n)) return SizeMismatch("batch");
-      if (n == 0) {
-        return Fail(ErrorCode::kBadRequest,
-                    "batch count must be a positive integer");
-      }
-      if (n > limits.max_batch) {
-        return Fail(ErrorCode::kBadRequest,
-                    "batch of " + std::to_string(n) +
-                        " exceeds the limit of " +
-                        std::to_string(limits.max_batch));
-      }
-      if (body.Remaining() != 8 * static_cast<std::size_t>(n)) {
-        return SizeMismatch("batch");
-      }
-      req.pairs.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        std::uint32_t s = 0;
-        std::uint32_t t = 0;
-        body.U32(&s);
-        body.U32(&t);
-        NodeId sn = 0;
-        NodeId tn = 0;
-        ParseResult error;
-        if (!CheckNode(s, limits, &sn, &error)) return error;
-        if (!CheckNode(t, limits, &tn, &error)) return error;
-        req.pairs.emplace_back(sn, tn);
-      }
-      return result;
-    }
-    case Opcode::kMatrix: {
-      req.kind = RequestKind::kMatrix;
-      std::uint32_t ns = 0;
-      std::uint32_t nt = 0;
-      if (!body.U32(&ns) || !body.U32(&nt)) return SizeMismatch("matrix");
-      if (ns == 0 || nt == 0) {
-        return Fail(ErrorCode::kBadRequest,
-                    "matrix side counts must be positive integers");
-      }
-      if (limits.max_matrix_locations == 0) {
-        return Fail(ErrorCode::kTooLarge, "matrix requests are disabled");
-      }
-      if (ns > limits.max_matrix_locations ||
-          nt > limits.max_matrix_locations) {
-        return Fail(ErrorCode::kTooLarge,
-                    "matrix side of " + std::to_string(std::max(ns, nt)) +
-                        " exceeds the limit of " +
-                        std::to_string(limits.max_matrix_locations) +
-                        " locations");
-      }
-      if (body.Remaining() !=
-          4 * (static_cast<std::size_t>(ns) + static_cast<std::size_t>(nt))) {
-        return SizeMismatch("matrix");
-      }
-      req.sources.reserve(ns);
-      req.targets.reserve(nt);
-      for (std::uint64_t i = 0; i < static_cast<std::uint64_t>(ns) + nt; ++i) {
-        std::uint32_t v = 0;
-        body.U32(&v);
-        NodeId node = 0;
-        ParseResult error;
-        if (!CheckNode(v, limits, &node, &error)) return error;
-        (i < ns ? req.sources : req.targets).push_back(node);
-      }
-      return result;
-    }
-    default:
-      break;
-  }
-
-  // Everything below is backend-independent — a backend prefix on these is
-  // the same contradiction the v1 parser rejects (except kUse, whose
-  // argument *is* the prefix).
-  if (header.opcode != Opcode::kUse && header.backend_len != 0) {
-    return Fail(ErrorCode::kBadRequest,
-                "the backend prefix only applies to d|p|k|b|m requests");
-  }
-  switch (header.opcode) {
-    case Opcode::kUse:
-      if (backend.empty() || body.Remaining() != 0) {
-        return Fail(ErrorCode::kBadRequest,
-                    "use needs a backend-name prefix and an empty body");
-      }
-      req.kind = RequestKind::kUse;
-      return result;
-    case Opcode::kUpdate: {
-      req.kind = RequestKind::kUpdate;
-      std::uint32_t u = 0;
-      std::uint32_t v = 0;
-      std::uint32_t w = 0;
-      if (!body.U32(&u) || !body.U32(&v) || !body.U32(&w) ||
-          body.Remaining() != 0) {
-        return SizeMismatch("update");
-      }
-      ParseResult error;
-      if (!CheckNode(u, limits, &req.s, &error)) return error;
-      if (!CheckNode(v, limits, &req.t, &error)) return error;
-      if (w == 0 || w >= kMaxWeight) {
-        return Fail(ErrorCode::kBadRequest,
-                    "weight '" + std::to_string(w) +
-                        "' must be a positive integer below " +
-                        std::to_string(kMaxWeight));
-      }
-      req.weight = static_cast<Weight>(w);
-      return result;
-    }
-    case Opcode::kUpdateFile:
-      if (limits.max_bulk_deltas == 0) {
-        return Fail(ErrorCode::kBadRequest,
-                    "bulk updates are disabled on this server");
-      }
-      if (body.Remaining() == 0) {
-        return Fail(ErrorCode::kBadRequest, "updf needs a file path");
-      }
-      req.kind = RequestKind::kUpdateFile;
-      req.path = std::string(body.Rest());
-      return result;
-    case Opcode::kStats:
-    case Opcode::kInvalidate:
-    case Opcode::kReload:
-    case Opcode::kQuit:
-      if (body.Remaining() != 0) return SizeMismatch("empty-body");
-      req.kind = header.opcode == Opcode::kStats      ? RequestKind::kStats
-                 : header.opcode == Opcode::kInvalidate
-                     ? RequestKind::kInvalidate
-                 : header.opcode == Opcode::kReload ? RequestKind::kReload
-                                                    : RequestKind::kQuit;
-      return result;
-    default:
-      return Fail(ErrorCode::kBadRequest,
-                  "unknown opcode 0x" + [op = header.opcode] {
-                    char buf[3];
-                    std::snprintf(buf, sizeof(buf), "%02x",
-                                  static_cast<unsigned>(op));
-                    return std::string(buf);
-                  }());
-  }
-}
-
 std::string EncodeReplyFrame(const Reply& reply, Opcode opcode,
                              std::uint64_t request_id) {
   if (!reply.ok) {
@@ -425,47 +157,44 @@ std::string EncodeReplyFrame(const Reply& reply, Opcode opcode,
                        reply.detail);
   }
   std::string payload;
-  switch (reply.kind) {
-    case RequestKind::kDistance:
+  const VerbRow* row = FindVerb(reply.kind);
+  const Fields fields = row == nullptr ? Fields::kNone : row->reply;
+  switch (fields) {
+    case Fields::kNone:
+      break;
+    case Fields::kDist:
       PutU64(&payload, reply.dist);
       break;
-    case RequestKind::kPath:
+    case Fields::kPath:
       PutU64(&payload, reply.path.length);
       PutU32(&payload, static_cast<std::uint32_t>(reply.path.nodes.size()));
       for (const NodeId node : reply.path.nodes) PutU32(&payload, node);
       break;
-    case RequestKind::kKNearest:
+    case Fields::kNearest:
       PutU32(&payload, static_cast<std::uint32_t>(reply.nearest.size()));
       for (const auto& [dist, node] : reply.nearest) {
         PutU32(&payload, node);
         PutU64(&payload, dist);
       }
       break;
-    case RequestKind::kBatch:
-      payload.reserve(4 + 8 * reply.dists.size());
-      PutU32(&payload, static_cast<std::uint32_t>(reply.dists.size()));
-      PutU64s(&payload, reply.dists.data(), reply.dists.size());
-      break;
-    case RequestKind::kMatrix:
+    case Fields::kDists:
+    case Fields::kMatrix:
       payload.reserve(8 + 8 * reply.dists.size());
-      PutU32(&payload, static_cast<std::uint32_t>(reply.num_sources));
-      PutU32(&payload, static_cast<std::uint32_t>(reply.num_targets));
+      if (fields == Fields::kDists) {
+        PutU32(&payload, static_cast<std::uint32_t>(reply.dists.size()));
+      } else {
+        PutU32(&payload, static_cast<std::uint32_t>(reply.num_sources));
+        PutU32(&payload, static_cast<std::uint32_t>(reply.num_targets));
+      }
       PutU64s(&payload, reply.dists.data(), reply.dists.size());
       break;
-    case RequestKind::kStats:
-    case RequestKind::kUse:
+    case Fields::kText:
       payload = reply.text;
       break;
-    case RequestKind::kUpdate:
-    case RequestKind::kReload:
+    case Fields::kValue:
+    case Fields::kTwoValues:
       PutU64(&payload, reply.value);
-      break;
-    case RequestKind::kUpdateFile:
-      PutU64(&payload, reply.value);
-      PutU64(&payload, reply.value2);
-      break;
-    case RequestKind::kInvalidate:
-    case RequestKind::kQuit:
+      if (fields == Fields::kTwoValues) PutU64(&payload, reply.value2);
       break;
   }
   return EncodeFrame(opcode, kStatusOk, 0, request_id, payload);
@@ -484,6 +213,59 @@ std::string EncodeErrorFrame(Opcode opcode, std::uint64_t request_id,
   return EncodeFrame(opcode, StatusFromError(code), 0, request_id, detail);
 }
 
+bool DecodeReply(const FrameHeader& header, std::string_view payload,
+                 Reply* reply) {
+  const VerbRow* row = FindVerb(header.opcode);
+  if (header.status != kStatusOk || row == nullptr) return false;
+  reply->kind = row->kind;
+  const Fields fields = row->reply;
+  BodyReader body(payload);
+  std::uint32_t n = 0;
+  std::uint32_t nt = 1;
+  switch (fields) {
+    case Fields::kNone:
+      return true;
+    case Fields::kText:
+      reply->text = std::string(payload);
+      return true;
+    case Fields::kDist:
+      return body.U64(&reply->dist) && body.Remaining() == 0;
+    case Fields::kPath:
+      if (!body.U64(&reply->path.length) || !body.U32(&n) ||
+          !body.Holds(n, 4)) {
+        return false;
+      }
+      reply->path.nodes.resize(n);
+      for (NodeId& node : reply->path.nodes) body.U32(&node);
+      return true;
+    case Fields::kNearest:
+      if (!body.U32(&n) || !body.Holds(n, 12)) return false;
+      reply->nearest.resize(n);
+      for (auto& [dist, node] : reply->nearest) {
+        body.U32(&node);
+        body.U64(&dist);
+      }
+      return true;
+    case Fields::kDists:
+    case Fields::kMatrix:
+      if (!body.U32(&n) || (fields == Fields::kMatrix && !body.U32(&nt)) ||
+          !body.Holds(std::uint64_t{n} * nt, 8)) {
+        return false;
+      }
+      reply->num_sources = n;
+      reply->num_targets = nt;
+      reply->dists.resize(body.Remaining() / 8);
+      for (Dist& d : reply->dists) body.U64(&d);
+      return true;
+    case Fields::kValue:
+    case Fields::kTwoValues:
+      return body.U64(&reply->value) &&
+             (fields == Fields::kValue || body.U64(&reply->value2)) &&
+             body.Remaining() == 0;
+  }
+  return false;
+}
+
 std::string ReplyFrameToText(const FrameHeader& header,
                              std::string_view payload) {
   ErrorCode code = ErrorCode::kInternal;
@@ -493,101 +275,16 @@ std::string ReplyFrameToText(const FrameHeader& header,
   if (header.status != kStatusOk) {
     return FormatError(ErrorCode::kInternal, "unknown reply status");
   }
-  const auto malformed = [&] {
-    return FormatError(ErrorCode::kInternal, "malformed reply payload");
-  };
-  BodyReader body(payload);
-  switch (header.opcode) {
-    case Opcode::kHello: {
-      std::uint32_t version = 0;
-      if (!body.U32(&version) || body.Remaining() != 16) return malformed();
-      const std::uint64_t nodes = GetU64(body.Rest().data());
-      const std::uint64_t arcs = GetU64(body.Rest().data() + 8);
-      return "AHB/" + std::to_string(version) + " ready " +
-             std::to_string(nodes) + " nodes " + std::to_string(arcs) +
-             " arcs";
-    }
-    case Opcode::kDistance: {
-      if (payload.size() != 8) return malformed();
-      return FormatDistance(GetU64(payload.data()));
-    }
-    case Opcode::kPath: {
-      if (payload.size() < 12) return malformed();
-      PathResult path;
-      path.length = GetU64(payload.data());
-      const std::uint32_t m = GetU32(payload.data() + 8);
-      if (payload.size() != 12 + 4 * static_cast<std::size_t>(m)) {
-        return malformed();
-      }
-      path.nodes.reserve(m);
-      for (std::uint32_t i = 0; i < m; ++i) {
-        path.nodes.push_back(GetU32(payload.data() + 12 + 4 * i));
-      }
-      return FormatPath(path);
-    }
-    case Opcode::kKNearest: {
-      std::uint32_t m = 0;
-      if (!body.U32(&m) ||
-          body.Remaining() != 12 * static_cast<std::size_t>(m)) {
-        return malformed();
-      }
-      std::vector<std::pair<Dist, NodeId>> nearest;
-      nearest.reserve(m);
-      const char* p = body.Rest().data();
-      for (std::uint32_t i = 0; i < m; ++i) {
-        const NodeId node = GetU32(p + 12 * i);
-        const Dist dist = GetU64(p + 12 * i + 4);
-        nearest.emplace_back(dist, node);
-      }
-      return FormatKNearest(nearest);
-    }
-    case Opcode::kBatch: {
-      std::uint32_t n = 0;
-      if (!body.U32(&n) ||
-          body.Remaining() != 8 * static_cast<std::size_t>(n)) {
-        return malformed();
-      }
-      std::vector<Dist> dists;
-      dists.reserve(n);
-      const char* p = body.Rest().data();
-      for (std::uint32_t i = 0; i < n; ++i) dists.push_back(GetU64(p + 8 * i));
-      return FormatBatch(dists);
-    }
-    case Opcode::kMatrix: {
-      std::uint32_t ns = 0;
-      std::uint32_t nt = 0;
-      if (!body.U32(&ns) || !body.U32(&nt)) return malformed();
-      const std::size_t cells =
-          static_cast<std::size_t>(ns) * static_cast<std::size_t>(nt);
-      if (body.Remaining() != 8 * cells) return malformed();
-      std::vector<Dist> dists;
-      dists.reserve(cells);
-      const char* p = body.Rest().data();
-      for (std::size_t i = 0; i < cells; ++i) {
-        dists.push_back(GetU64(p + 8 * i));
-      }
-      return FormatMatrix(ns, nt, dists);
-    }
-    case Opcode::kStats:
-      return "OK stats " + std::string(payload);
-    case Opcode::kInvalidate:
-      return "OK inv";
-    case Opcode::kUse:
-      return "OK use " + std::string(payload);
-    case Opcode::kUpdate:
-      if (payload.size() != 8) return malformed();
-      return "OK upd " + std::to_string(GetU64(payload.data()));
-    case Opcode::kUpdateFile:
-      if (payload.size() != 16) return malformed();
-      return "OK updf " + std::to_string(GetU64(payload.data())) + " " +
-             std::to_string(GetU64(payload.data() + 8));
-    case Opcode::kReload:
-      if (payload.size() != 8) return malformed();
-      return "OK reload " + std::to_string(GetU64(payload.data()));
-    case Opcode::kQuit:
-      return "OK bye";
+  if (header.opcode == Opcode::kHello && payload.size() == 20) {
+    return "AHB/" + std::to_string(GetU32(payload.data())) + " ready " +
+           std::to_string(GetU64(payload.data() + 4)) + " nodes " +
+           std::to_string(GetU64(payload.data() + 12)) + " arcs";
   }
-  return malformed();
+  Reply reply;
+  if (!DecodeReply(header, payload, &reply)) {
+    return FormatError(ErrorCode::kInternal, "malformed reply payload");
+  }
+  return FormatReply(reply);
 }
 
 }  // namespace ah::server

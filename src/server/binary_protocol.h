@@ -20,29 +20,16 @@
 //                    frames in flight and replies may complete out of order
 //   ...payload       backend-name bytes (requests), then the opcode body
 //
-// Opcode bodies (requests -> OK reply payloads):
-//   kDistance    u32 s, u32 t               -> u64 dist
-//   kPath        u32 s, u32 t               -> u64 len, u32 m, m x u32 nodes
-//   kKNearest    u32 s, u32 k               -> u32 m, m x (u32 node, u64 d)
-//   kBatch       u32 n, n x (u32 s, u32 t)  -> u32 n, n x u64 dists
-//   kMatrix      u32 ns, u32 nt, ns x u32, nt x u32
-//                                           -> u32 ns, u32 nt, ns*nt x u64
-//   kStats       (empty)                    -> stats text bytes
-//   kInvalidate  (empty)                    -> (empty)
-//   kUse         (backend prefix only)      -> backend-name bytes
-//   kUpdate      u32 u, u32 v, u32 w        -> u64 pending
-//   kUpdateFile  path bytes                 -> u64 queued, u64 pending
-//   kReload      (empty)                    -> u64 pending
-//   kQuit        (empty)                    -> (empty), then close
-//   kHello       server -> client only      -> u32 version, u64 nodes,
-//                                              u64 arcs
+// Each request opcode's body and OK reply payload are laid out by its row
+// of the verb table (server/verb_table.h), the same row the v1 text
+// protocol parses and formats by; kHello (server -> client only) carries
+// u32 version, u64 nodes, u64 arcs.
 //
 // Unreachable distances travel as the kInfDist sentinel (u64 max) — the
 // binary analogue of v1's "unreachable" token. Error replies (status != 0)
-// carry the human-readable detail as the payload. Validation semantics are
-// identical to the v1 parser: the same node-range, batch/matrix caps, and
-// backend-selector rules produce the same ErrorCode a text client would
-// see, so both protocols answer through one server brain.
+// carry the human-readable detail as the payload. Requests are validated
+// by the same code as v1 requests, so both protocols answer through one
+// server brain with the same ErrorCode.
 #pragma once
 
 #include <cstddef>
@@ -159,10 +146,17 @@ std::string EncodeHelloFrame(std::size_t num_nodes, std::size_t num_arcs);
 std::string EncodeErrorFrame(Opcode opcode, std::uint64_t request_id,
                              ErrorCode code, std::string_view detail);
 
+/// Decodes an OK reply frame's payload into `reply` by its opcode's verb row
+/// (the inverse of EncodeReplyFrame). False for an error status, kHello or
+/// an unknown opcode, or a payload that does not fit the row exactly.
+bool DecodeReply(const FrameHeader& header, std::string_view payload,
+                 Reply* reply);
+
 /// Renders a reply frame as the v1 text line the same request would have
 /// produced — the cross-protocol equivalence oracle used by --smoke, the
 /// REPL's --protocol v2 mode, and fig_serve's checksum cross-verification.
-/// Malformed payloads render as an ERR internal line rather than throwing.
+/// OK payloads are decoded by DecodeReply and rendered by FormatReply;
+/// malformed ones render as an ERR internal line rather than throwing.
 std::string ReplyFrameToText(const FrameHeader& header,
                              std::string_view payload);
 

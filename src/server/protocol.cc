@@ -1,9 +1,10 @@
 #include "server/protocol.h"
 
-#include <algorithm>
 #include <charconv>
 #include <cstdint>
-#include <limits>
+#include <iterator>
+
+#include "server/verb_table.h"
 
 namespace ah::server {
 
@@ -11,61 +12,70 @@ namespace {
 
 constexpr std::string_view kUnreachableToken = "unreachable";
 
-/// Splits `line` into whitespace-separated tokens (space and tab).
-std::vector<std::string_view> Tokenize(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    std::size_t begin = i;
-    while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
-    if (i > begin) tokens.push_back(line.substr(begin, i - begin));
-  }
-  return tokens;
+void AppendNumber(std::string* out, std::uint64_t v) {
+  char token[21] = {' '};
+  const char* end = std::to_chars(token + 1, std::end(token), v).ptr;
+  out->append(token, static_cast<std::size_t>(end - token));
 }
 
-/// Strict unsigned parse: the whole token must be a decimal number. A
-/// leading '-' or '+', hex, or trailing junk all fail — no silent clamping.
-bool ParseU64(std::string_view token, std::uint64_t* out) {
-  if (token.empty() || token[0] < '0' || token[0] > '9') return false;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), *out);
-  return ec == std::errc() && ptr == token.data() + token.size();
-}
-
-ParseResult Fail(ErrorCode code, std::string message) {
-  ParseResult r;
-  r.ok = false;
-  r.code = code;
-  r.message = std::move(message);
-  return r;
-}
-
-/// Parses a node-id token, validating the range [0, num_nodes).
-bool ParseNode(std::string_view token, const ParseLimits& limits, NodeId* out,
-               ParseResult* error) {
-  std::uint64_t v = 0;
-  if (!ParseU64(token, &v)) {
-    *error = Fail(ErrorCode::kBadNode,
-                  "node id '" + std::string(token) + "' is not a non-negative integer");
-    return false;
-  }
-  if (v >= limits.num_nodes) {
-    *error = Fail(ErrorCode::kBadNode,
-                  "node id " + std::string(token) + " out of range [0, " +
-                      std::to_string(limits.num_nodes) + ")");
-    return false;
-  }
-  *out = static_cast<NodeId>(v);
-  return true;
-}
-
+/// A distance token; kInfDist prints "unreachable".
 void AppendDist(std::string* out, Dist d) {
   if (d == kInfDist) {
+    out->push_back(' ');
     out->append(kUnreachableToken);
   } else {
-    out->append(std::to_string(d));
+    AppendNumber(out, d);
   }
+}
+
+/// The OK line of `reply` by its row's reply layout. A function of its own
+/// so that `out` is its only return and is built in place.
+std::string OkLine(const VerbRow& row, const Reply& reply) {
+  std::string out(row.ok);
+  switch (row.reply) {
+    case Fields::kNone:
+      break;
+    case Fields::kDist:
+      AppendDist(&out, reply.dist);
+      break;
+    case Fields::kPath:
+      if (!reply.path.Found()) {
+        AppendDist(&out, kInfDist);
+        break;
+      }
+      AppendNumber(&out, reply.path.length);
+      AppendNumber(&out, reply.path.nodes.size());
+      for (const NodeId node : reply.path.nodes) AppendNumber(&out, node);
+      break;
+    case Fields::kNearest:
+      AppendNumber(&out, reply.nearest.size());
+      for (const auto& [dist, node] : reply.nearest) {
+        AppendNumber(&out, node);
+        AppendDist(&out, dist);
+      }
+      break;
+    case Fields::kMatrix:
+      AppendNumber(&out, reply.num_sources);
+      AppendNumber(&out, reply.num_targets);
+      for (const Dist d : reply.dists) AppendDist(&out, d);
+      break;
+    case Fields::kDists:
+      AppendNumber(&out, reply.dists.size());
+      for (const Dist d : reply.dists) AppendDist(&out, d);
+      break;
+    case Fields::kText:
+      out.push_back(' ');
+      out.append(reply.text);
+      break;
+    case Fields::kTwoValues:
+      AppendNumber(&out, reply.value);
+      AppendNumber(&out, reply.value2);
+      break;
+    case Fields::kValue:
+      AppendNumber(&out, reply.value);
+      break;
+  }
+  return out;
 }
 
 }  // namespace
@@ -85,219 +95,13 @@ std::string_view ErrorCodeName(ErrorCode code) {
   return "internal";
 }
 
-ParseResult ParseRequest(std::string_view line, const ParseLimits& limits) {
-  std::vector<std::string_view> tokens = Tokenize(line);
-  std::size_t at = 0;
-
-  // Optional explicit version prefix "AH/<v>".
-  if (at < tokens.size() && tokens[at].substr(0, 3) == "AH/") {
-    std::uint64_t version = 0;
-    if (!ParseU64(tokens[at].substr(3), &version) ||
-        version != static_cast<std::uint64_t>(kProtocolVersion)) {
-      return Fail(ErrorCode::kUnsupportedVersion,
-                  "this server speaks AH/" + std::to_string(kProtocolVersion));
-    }
-    ++at;
-  }
-  // Optional backend selector "@<backend>" (existence checked server-side).
-  std::string_view backend_prefix;
-  if (at < tokens.size() && tokens[at].size() > 1 && tokens[at][0] == '@') {
-    backend_prefix = tokens[at].substr(1);
-    ++at;
-  }
-  if (at >= tokens.size()) {
-    return Fail(ErrorCode::kBadRequest, "empty request");
-  }
-
-  const std::string_view verb = tokens[at++];
-  const std::size_t argc = tokens.size() - at;
-  ParseResult result;
-  result.ok = true;
-  Request& req = result.request;
-  req.backend = std::string(backend_prefix);
-
-  if (verb == "d" || verb == "p") {
-    if (argc != 2) {
-      return Fail(ErrorCode::kBadRequest,
-                  "usage: " + std::string(verb) + " <s> <t>");
-    }
-    req.kind = verb == "d" ? RequestKind::kDistance : RequestKind::kPath;
-    ParseResult error;
-    if (!ParseNode(tokens[at], limits, &req.s, &error)) return error;
-    if (!ParseNode(tokens[at + 1], limits, &req.t, &error)) return error;
-    return result;
-  }
-  if (verb == "k") {
-    if (argc != 2) return Fail(ErrorCode::kBadRequest, "usage: k <s> <k>");
-    req.kind = RequestKind::kKNearest;
-    ParseResult error;
-    if (!ParseNode(tokens[at], limits, &req.s, &error)) return error;
-    std::uint64_t k = 0;
-    if (!ParseU64(tokens[at + 1], &k) || k == 0) {
-      return Fail(ErrorCode::kBadRequest, "k must be a positive integer");
-    }
-    req.k = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(k, std::numeric_limits<std::uint32_t>::max()));
-    return result;
-  }
-  if (verb == "b") {
-    if (argc < 1) {
-      return Fail(ErrorCode::kBadRequest, "usage: b <n> <s1> <t1> ...");
-    }
-    std::uint64_t n = 0;
-    if (!ParseU64(tokens[at], &n) || n == 0) {
-      return Fail(ErrorCode::kBadRequest,
-                  "batch count must be a positive integer");
-    }
-    if (n > limits.max_batch) {
-      return Fail(ErrorCode::kBadRequest,
-                  "batch of " + std::to_string(n) + " exceeds the limit of " +
-                      std::to_string(limits.max_batch));
-    }
-    if (argc - 1 != 2 * n) {
-      return Fail(ErrorCode::kBadRequest,
-                  "batch of " + std::to_string(n) + " needs " +
-                      std::to_string(2 * n) + " node ids, got " +
-                      std::to_string(argc - 1));
-    }
-    req.kind = RequestKind::kBatch;
-    req.pairs.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      NodeId s = 0;
-      NodeId t = 0;
-      ParseResult error;
-      if (!ParseNode(tokens[at + 1 + 2 * i], limits, &s, &error)) return error;
-      if (!ParseNode(tokens[at + 2 + 2 * i], limits, &t, &error)) return error;
-      req.pairs.emplace_back(s, t);
-    }
-    return result;
-  }
-  if (verb == "m") {
-    if (argc < 2) {
-      return Fail(ErrorCode::kBadRequest,
-                  "usage: m <ns> <nt> <s1> ... <sns> <t1> ... <tnt>");
-    }
-    std::uint64_t ns = 0;
-    std::uint64_t nt = 0;
-    if (!ParseU64(tokens[at], &ns) || ns == 0 || !ParseU64(tokens[at + 1], &nt) ||
-        nt == 0) {
-      return Fail(ErrorCode::kBadRequest,
-                  "matrix side counts must be positive integers");
-    }
-    // Cap before arity: a client asking for an over-cap matrix learns the
-    // policy limit, not a confusing token-count complaint.
-    if (limits.max_matrix_locations == 0) {
-      return Fail(ErrorCode::kTooLarge, "matrix requests are disabled");
-    }
-    if (ns > limits.max_matrix_locations || nt > limits.max_matrix_locations) {
-      return Fail(ErrorCode::kTooLarge,
-                  "matrix side of " + std::to_string(std::max(ns, nt)) +
-                      " exceeds the limit of " +
-                      std::to_string(limits.max_matrix_locations) +
-                      " locations");
-    }
-    if (argc - 2 != ns + nt) {
-      return Fail(ErrorCode::kBadRequest,
-                  "matrix of " + std::to_string(ns) + "x" + std::to_string(nt) +
-                      " needs " + std::to_string(ns + nt) +
-                      " node ids, got " + std::to_string(argc - 2));
-    }
-    req.kind = RequestKind::kMatrix;
-    req.sources.reserve(ns);
-    req.targets.reserve(nt);
-    for (std::uint64_t i = 0; i < ns + nt; ++i) {
-      NodeId node = 0;
-      ParseResult error;
-      if (!ParseNode(tokens[at + 2 + i], limits, &node, &error)) return error;
-      (i < ns ? req.sources : req.targets).push_back(node);
-    }
-    return result;
-  }
-  // Everything below is backend-independent: a "@..." selector in front of
-  // it is a contradiction, not something to silently ignore.
-  if (!backend_prefix.empty()) {
-    return Fail(ErrorCode::kBadRequest,
-                "the @<backend> selector only applies to d|p|k|b|m requests");
-  }
-  if (verb == "use") {
-    if (argc != 1) return Fail(ErrorCode::kBadRequest, "usage: use <backend>");
-    req.kind = RequestKind::kUse;
-    req.backend = std::string(tokens[at]);
-    return result;
-  }
-  if (verb == "upd") {
-    if (argc != 3) {
-      return Fail(ErrorCode::kBadRequest, "usage: upd <u> <v> <weight>");
-    }
-    req.kind = RequestKind::kUpdate;
-    ParseResult error;
-    if (!ParseNode(tokens[at], limits, &req.s, &error)) return error;
-    if (!ParseNode(tokens[at + 1], limits, &req.t, &error)) return error;
-    std::uint64_t w = 0;
-    if (!ParseU64(tokens[at + 2], &w) || w == 0 ||
-        w >= static_cast<std::uint64_t>(kMaxWeight)) {
-      return Fail(ErrorCode::kBadRequest,
-                  "weight '" + std::string(tokens[at + 2]) +
-                      "' must be a positive integer below " +
-                      std::to_string(kMaxWeight));
-    }
-    req.weight = static_cast<Weight>(w);
-    return result;
-  }
-  if (verb == "updf") {
-    if (argc != 1) {
-      return Fail(ErrorCode::kBadRequest, "usage: updf <file>");
-    }
-    if (limits.max_bulk_deltas == 0) {
-      return Fail(ErrorCode::kBadRequest,
-                  "bulk updates are disabled on this server");
-    }
-    req.kind = RequestKind::kUpdateFile;
-    req.path = std::string(tokens[at]);
-    return result;
-  }
-  if (verb == "reload" && argc == 0) {
-    req.kind = RequestKind::kReload;
-    return result;
-  }
-  if (verb == "stats" && argc == 0) {
-    req.kind = RequestKind::kStats;
-    return result;
-  }
-  if (verb == "inv" && argc == 0) {
-    req.kind = RequestKind::kInvalidate;
-    return result;
-  }
-  if (verb == "q" && argc == 0) {
-    req.kind = RequestKind::kQuit;
-    return result;
-  }
-  return Fail(ErrorCode::kBadRequest,
-              "unknown request '" + std::string(verb) +
-                  "' (expected d|p|k|b|m|stats|inv|use|upd|updf|reload|q)");
-}
-
 std::string FormatReply(const Reply& reply) {
   if (!reply.ok) return FormatError(reply.code, reply.detail);
-  switch (reply.kind) {
-    case RequestKind::kDistance: return FormatDistance(reply.dist);
-    case RequestKind::kPath: return FormatPath(reply.path);
-    case RequestKind::kKNearest: return FormatKNearest(reply.nearest);
-    case RequestKind::kBatch: return FormatBatch(reply.dists);
-    case RequestKind::kMatrix:
-      return FormatMatrix(reply.num_sources, reply.num_targets, reply.dists);
-    case RequestKind::kStats: return "OK stats " + reply.text;
-    case RequestKind::kInvalidate: return "OK inv";
-    case RequestKind::kUse: return "OK use " + reply.text;
-    case RequestKind::kUpdate: return "OK upd " + std::to_string(reply.value);
-    case RequestKind::kUpdateFile:
-      return "OK updf " + std::to_string(reply.value) + " " +
-             std::to_string(reply.value2);
-    case RequestKind::kReload:
-      return "OK reload " + std::to_string(reply.value);
-    case RequestKind::kQuit: return "OK bye";
+  const VerbRow* row = FindVerb(reply.kind);
+  if (row == nullptr) {
+    return FormatError(ErrorCode::kInternal, "unrenderable reply kind");
   }
-  return FormatError(ErrorCode::kInternal, "unrenderable reply kind");
+  return OkLine(*row, reply);
 }
 
 std::string FormatError(ErrorCode code, std::string_view detail) {
@@ -311,58 +115,42 @@ std::string FormatError(ErrorCode code, std::string_view detail) {
 }
 
 std::string FormatDistance(Dist d) {
-  std::string out = "OK d ";
-  AppendDist(&out, d);
-  return out;
+  Reply reply;
+  reply.kind = RequestKind::kDistance;
+  reply.dist = d;
+  return FormatReply(reply);
 }
 
 std::string FormatPath(const PathResult& path) {
-  if (!path.Found()) return "OK p unreachable";
-  std::string out = "OK p ";
-  out.append(std::to_string(path.length));
-  out.push_back(' ');
-  out.append(std::to_string(path.nodes.size()));
-  for (const NodeId node : path.nodes) {
-    out.push_back(' ');
-    out.append(std::to_string(node));
-  }
-  return out;
+  Reply reply;
+  reply.kind = RequestKind::kPath;
+  reply.path = path;
+  return FormatReply(reply);
 }
 
 std::string FormatKNearest(
     const std::vector<std::pair<Dist, NodeId>>& nearest) {
-  std::string out = "OK k ";
-  out.append(std::to_string(nearest.size()));
-  for (const auto& [dist, node] : nearest) {
-    out.push_back(' ');
-    out.append(std::to_string(node));
-    out.push_back(' ');
-    AppendDist(&out, dist);
-  }
-  return out;
+  Reply reply;
+  reply.kind = RequestKind::kKNearest;
+  reply.nearest = nearest;
+  return FormatReply(reply);
 }
 
 std::string FormatBatch(const std::vector<Dist>& dists) {
-  std::string out = "OK b ";
-  out.append(std::to_string(dists.size()));
-  for (const Dist d : dists) {
-    out.push_back(' ');
-    AppendDist(&out, d);
-  }
-  return out;
+  Reply reply;
+  reply.kind = RequestKind::kBatch;
+  reply.dists = dists;
+  return FormatReply(reply);
 }
 
 std::string FormatMatrix(std::size_t num_sources, std::size_t num_targets,
                          const std::vector<Dist>& cells) {
-  std::string out = "OK m ";
-  out.append(std::to_string(num_sources));
-  out.push_back(' ');
-  out.append(std::to_string(num_targets));
-  for (const Dist d : cells) {
-    out.push_back(' ');
-    AppendDist(&out, d);
-  }
-  return out;
+  Reply reply;
+  reply.kind = RequestKind::kMatrix;
+  reply.num_sources = num_sources;
+  reply.num_targets = num_targets;
+  reply.dists = cells;
+  return FormatReply(reply);
 }
 
 std::string Greeting(std::size_t num_nodes, std::size_t num_arcs) {

@@ -2,50 +2,21 @@
 // with structured single-line replies — the contract between any front-end
 // (TCP, stdin REPL, tests) and the ServerStack that answers it.
 //
-// Requests (one per line, optionally prefixed by the version token "AH/1"
-// and/or a backend selector "@<backend>" in that order):
-//   d <s> <t>                       distance from s to t
-//   p <s> <t>                       shortest path from s to t
-//   k <s> <k>                       k nearest POIs from s (server POI set)
-//   b <n> <s1> <t1> ... <sn> <tn>   batch of n distance queries
-//   m <ns> <nt> <s1> ... <sns> <t1> ... <tnt>
-//                                   ns × nt distance matrix (many-to-many)
-//   stats                           server counters and latency quantiles
-//   inv                             invalidate (clear) the result cache
-//   q                               end the session
-// Admin verbs (the index-lifecycle surface; same line grammar):
-//   use <backend>                   switch the server default backend
-//   upd <u> <v> <w>                 queue weight w for arc u→v (next reload)
-//   updf <file>                     queue a bulk binary delta file (AHUD
-//                                   format, graph/weight_update.h) — all
-//                                   records validated before any is queued
-//   reload                          rebuild + hot-swap all backends async
+// A request line is "[AH/1] [@<backend>] <verb> <args...>"; its reply is
+// one "OK <word> <fields...>" or "ERR <code> <detail>" line. The verbs,
+// their arguments and their reply fields are rows of the verb table
+// (server/verb_table.h), which also drives the v2 binary protocol and the
+// README's grammar table.
 //
-// Replies (one line per request):
-//   OK d <dist|unreachable>
-//   OK p unreachable | OK p <length> <m> <n1> ... <nm>
-//   OK k <m> <node1> <dist1> ... <nodem> <distm>
-//   OK b <n> <d1> ... <dn>          (unreachable entries print "unreachable")
-//   OK m <ns> <nt> <d11> ... <d1nt> ... <dnsnt>   (row-major by source)
-//   OK stats <key>=<value> ...
-//   OK inv / OK bye
-//   OK use <backend>
-//   OK upd <pending>                (queued updates after this one)
-//   OK updf <queued> <pending>      (records queued from the file; total)
-//   OK reload <pending>             (updates the background rebuild folds in)
-//   ERR <code> <detail>
-//
-// "unreachable" is a successful answer about the graph; ERR codes
-// (bad-request, bad-node, bad-backend, bad-arc, unsupported-version,
-// overload, timeout, too-large, internal) are request or server failures —
-// clients
-// must never conflate the two. Node ids are validated strictly: any
-// non-numeric, negative, or out-of-range id is rejected with an error
-// naming the offending token instead of being silently clamped. Backend
-// names in "@..." / "use" are validated by the server against its registry
-// (bad-backend); "upd" / "updf" arcs must exist in the base graph (bad-arc).
-// "updf" is atomic: the server validates every record in the file and
-// queues either all of them or none (the reply names the first bad record).
+// "unreachable" is a successful answer about the graph; ERR codes are
+// request or server failures — clients must never conflate the two. Node
+// ids are validated strictly: any non-numeric, negative, or out-of-range id
+// is rejected with an error naming the offending token instead of being
+// silently clamped. Backend names in "@..." / "use" are validated by the
+// server against its registry (bad-backend); "upd" / "updf" arcs must exist
+// in the base graph (bad-arc). "updf" is atomic: the server validates every
+// record in the file and queues either all of them or none (the reply names
+// the first bad record).
 #pragma once
 
 #include <cstddef>
@@ -166,8 +137,8 @@ struct Reply {
   std::uint64_t value2 = 0;  ///< updf pending-after-queue.
 };
 
-/// Renders a Reply as its v1 text line — byte-identical to what the
-/// pre-structured server produced (delegates to the Format* helpers below).
+/// Renders a Reply as its v1 text line by its verb row; the Format* helpers
+/// below build the Reply for one kind and render it the same way.
 std::string FormatReply(const Reply& reply);
 
 std::string FormatError(ErrorCode code, std::string_view detail);

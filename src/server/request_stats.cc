@@ -71,20 +71,9 @@ void LatencyHistogram::Reset() {
   for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
 }
 
-std::string_view RequestClassName(RequestClass c) {
-  switch (c) {
-    case RequestClass::kDistance: return "d";
-    case RequestClass::kPath: return "p";
-    case RequestClass::kKNearest: return "k";
-    case RequestClass::kBatch: return "b";
-    case RequestClass::kMatrix: return "m";
-  }
-  return "?";
-}
-
-void RequestStats::RecordOk(RequestClass c, double micros) {
+void RequestStats::RecordOk(RequestKind kind, double micros) {
   ok_total_.fetch_add(1, std::memory_order_relaxed);
-  histograms_[static_cast<std::size_t>(c)].Record(micros);
+  histograms_[static_cast<std::size_t>(kind)].Record(micros);
 }
 
 void RequestStats::RecordError() {

@@ -8,7 +8,8 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
+
+#include "server/protocol.h"
 
 namespace ah::server {
 
@@ -50,18 +51,6 @@ class LatencyHistogram {
   std::array<std::atomic<std::uint64_t>, kNumBuckets> buckets_{};
 };
 
-/// The request classes the stack tracks separately (a batch counts as one
-/// request of class kBatch regardless of its size).
-enum class RequestClass : std::size_t {
-  kDistance = 0,
-  kPath = 1,
-  kKNearest = 2,
-  kBatch = 3,
-  kMatrix = 4,
-};
-inline constexpr std::size_t kNumRequestClasses = 5;
-std::string_view RequestClassName(RequestClass c);
-
 /// Thread-safe counters + per-class latency histograms for one serving
 /// stack. Shed/timeout counts live in AdmissionController (single source);
 /// this layer tracks what was actually answered.
@@ -69,8 +58,9 @@ class RequestStats {
  public:
   RequestStats() : start_(std::chrono::steady_clock::now()) {}
 
-  /// One successfully answered request (cache hits included).
-  void RecordOk(RequestClass c, double micros);
+  /// One successfully answered request (cache hits included). A batch
+  /// counts as one request of kind kBatch regardless of its size.
+  void RecordOk(RequestKind kind, double micros);
   /// One request rejected with a parse/validation/internal error.
   void RecordError();
 
@@ -80,8 +70,8 @@ class RequestStats {
   std::uint64_t ErrorCount() const {
     return errors_.load(std::memory_order_relaxed);
   }
-  const LatencyHistogram& Histogram(RequestClass c) const {
-    return histograms_[static_cast<std::size_t>(c)];
+  const LatencyHistogram& Histogram(RequestKind kind) const {
+    return histograms_[static_cast<std::size_t>(kind)];
   }
 
   double UptimeSeconds() const;
@@ -92,7 +82,8 @@ class RequestStats {
   std::chrono::steady_clock::time_point start_;
   std::atomic<std::uint64_t> ok_total_{0};
   std::atomic<std::uint64_t> errors_{0};
-  std::array<LatencyHistogram, kNumRequestClasses> histograms_;
+  std::array<LatencyHistogram, static_cast<std::size_t>(RequestKind::kQuit) + 1>
+      histograms_;
 };
 
 }  // namespace ah::server

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "graph/weight_update.h"
+#include "server/verb_table.h"
 #include "util/timer.h"
 
 namespace ah::server {
@@ -121,32 +122,10 @@ void ServerStack::SubmitParsed(ParseResult parsed,
     return;
   }
   Request& req = parsed.request;
-
-  switch (req.kind) {
-    case RequestKind::kQuit: {
-      Reply reply = OkReply(RequestKind::kQuit);
-      reply.close = true;
-      done(std::move(reply));
-      return;
-    }
-    case RequestKind::kStats: {
-      Reply reply = OkReply(RequestKind::kStats);
-      reply.text = StatsLine();
-      done(std::move(reply));
-      return;
-    }
-    case RequestKind::kInvalidate:
-      cache_.Clear();
-      done(OkReply(RequestKind::kInvalidate));
-      return;
-    case RequestKind::kUse:
-    case RequestKind::kUpdate:
-    case RequestKind::kUpdateFile:
-    case RequestKind::kReload:
-      done(ExecuteAdmin(req));
-      return;
-    default:
-      break;
+  const VerbRow* row = FindVerb(req.kind);
+  if (row == nullptr || !row->query) {
+    done(ExecuteAdmin(req));
+    return;
   }
 
   // Resolve the backend now so an unknown "@..." name is answered inline
@@ -177,9 +156,7 @@ void ServerStack::SubmitParsed(ParseResult parsed,
         reply.path.length = hit.dist;
         reply.path.nodes = std::move(hit.nodes);
       }
-      stats_.RecordOk(
-          is_distance ? RequestClass::kDistance : RequestClass::kPath,
-          timer.Micros());
+      stats_.RecordOk(req.kind, timer.Micros());
       done(std::move(reply));
       return;
     }
@@ -242,6 +219,19 @@ void ServerStack::SetPois(std::vector<NodeId> pois) {
 
 Reply ServerStack::ExecuteAdmin(const Request& request) {
   switch (request.kind) {
+    case RequestKind::kQuit: {
+      Reply reply = OkReply(RequestKind::kQuit);
+      reply.close = true;
+      return reply;
+    }
+    case RequestKind::kStats: {
+      Reply reply = OkReply(RequestKind::kStats);
+      reply.text = StatsLine();
+      return reply;
+    }
+    case RequestKind::kInvalidate:
+      cache_.Clear();
+      return OkReply(RequestKind::kInvalidate);
     case RequestKind::kUse: {
       if (!registry_->SetDefaultBackend(request.backend)) {
         stats_.RecordError();
@@ -388,7 +378,7 @@ Reply ServerStack::ExecuteDistance(NodeId s, NodeId t,
   const Dist d = lease->Distance(s, t);
   cache_.Insert(CacheKey{s, t, CachedKind::kDistance, lease.epoch().backend_id},
                 lease.epoch().generation, CachedResult{d, {}});
-  stats_.RecordOk(RequestClass::kDistance, timer.Micros());
+  stats_.RecordOk(RequestKind::kDistance, timer.Micros());
   Reply reply = OkReply(RequestKind::kDistance);
   reply.dist = d;
   return reply;
@@ -400,7 +390,7 @@ Reply ServerStack::ExecutePath(NodeId s, NodeId t,
   PathResult path = lease->ShortestPath(s, t);
   cache_.Insert(CacheKey{s, t, CachedKind::kPath, lease.epoch().backend_id},
                 lease.epoch().generation, CachedResult{path.length, path.nodes});
-  stats_.RecordOk(RequestClass::kPath, timer.Micros());
+  stats_.RecordOk(RequestKind::kPath, timer.Micros());
   Reply reply = OkReply(RequestKind::kPath);
   reply.path = std::move(path);
   return reply;
@@ -505,7 +495,7 @@ Reply ServerStack::ExecuteKNearest(NodeId s, std::uint32_t k,
                       return a.second < b.second;
                     });
   reachable.resize(take);
-  stats_.RecordOk(RequestClass::kKNearest, timer.Micros());
+  stats_.RecordOk(RequestKind::kKNearest, timer.Micros());
   Reply reply = OkReply(RequestKind::kKNearest);
   reply.nearest = std::move(reachable);
   return reply;
@@ -516,7 +506,7 @@ Reply ServerStack::ExecuteBatch(
     ConcurrentEngine::SessionLease& lease) {
   Timer timer;
   std::vector<Dist> dists = CachedDistances(pairs, lease);
-  stats_.RecordOk(RequestClass::kBatch, timer.Micros());
+  stats_.RecordOk(RequestKind::kBatch, timer.Micros());
   Reply reply = OkReply(RequestKind::kBatch);
   reply.dists = std::move(dists);
   return reply;
@@ -564,7 +554,7 @@ Reply ServerStack::ExecuteMatrix(const std::vector<NodeId>& sources,
       }
     }
   }
-  stats_.RecordOk(RequestClass::kMatrix, timer.Micros());
+  stats_.RecordOk(RequestKind::kMatrix, timer.Micros());
   Reply reply = OkReply(RequestKind::kMatrix);
   reply.num_sources = sources.size();
   reply.num_targets = num_targets;
@@ -654,10 +644,10 @@ std::string ServerStack::StatsLine() const {
   AppendKv(&out, "cache_clears", std::to_string(cache.clears));
   AppendKv(&out, "warmup_entries", std::to_string(cache.warmup_entries));
   AppendKv(&out, "warmup_hits", std::to_string(cache.warmup_hits));
-  for (std::size_t c = 0; c < kNumRequestClasses; ++c) {
-    const auto request_class = static_cast<RequestClass>(c);
-    const LatencyHistogram& hist = stats_.Histogram(request_class);
-    const std::string prefix(RequestClassName(request_class));
+  for (const VerbRow& row : kVerbs) {
+    if (!row.query) continue;
+    const LatencyHistogram& hist = stats_.Histogram(row.kind);
+    const std::string prefix(row.token);
     AppendKv(&out, prefix + "_count", std::to_string(hist.Count()));
     AppendKv(&out, prefix + "_p50_us", Fixed(hist.Quantile(0.5), 0));
     AppendKv(&out, prefix + "_p99_us", Fixed(hist.Quantile(0.99), 0));

@@ -194,7 +194,8 @@ class ServerStack {
   void SubmitParsed(ParseResult parsed, std::optional<std::uint64_t> client,
                     StructuredCallback done);
 
-  /// Answers the admin verbs (use/upd/updf/reload) inline. Never throws.
+  /// Answers every verb that is not a query (its row says so) inline.
+  /// Never throws.
   Reply ExecuteAdmin(const Request& request);
 
   /// Executes an admitted query request on an epoch-pinned session lease

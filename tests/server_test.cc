@@ -1,7 +1,9 @@
 // The serving stack: protocol round-trip (including malformed input, the
 // use/upd/reload admin verbs, and the `m` matrix verb with its location
 // cap), the v2 binary codec (request/reply round-trips, validation parity
-// with the text parser, and the ReplyFrameToText equivalence oracle),
+// with the text parser, the ReplyFrameToText equivalence oracle, malformed
+// reply payloads), the verb table (the README protocol tables rendered from
+// its rows; every row answered alike over v1 and v2 on live servers),
 // result-cache correctness with generation tags and TTL (cached
 // answers cross-checked against Dijkstra, matrix replies retiring per-pair
 // entries across a hot swap), post-swap cache warm-up, admission-
@@ -17,9 +19,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <future>
 #include <memory>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -38,6 +42,7 @@
 #include "server/result_cache.h"
 #include "server/server_stack.h"
 #include "server/tcp_server.h"
+#include "server/verb_table.h"
 #include "test_util.h"
 
 namespace ah::server {
@@ -1459,155 +1464,104 @@ TEST(BinaryProtocolTest, DecodeRequestValidatesLikeTheTextParser) {
   EXPECT_NE(r.message.find("0x6f"), std::string::npos);
 }
 
-// The equivalence oracle: a Reply rendered through the v2 frame and back to
-// text must be byte-identical to the v1 line FormatReply produces.
+// The equivalence oracle: a Reply of every kind rendered through the v2
+// frame and back to text must be byte-identical to the v1 line FormatReply
+// produces. Malformed OK payloads render as ERR internal and never throw:
+// counts are bounded by the bytes present before anything is allocated (an
+// OK matrix of 2^31 x 2^30 cells and no cell bytes once wrapped 8·ns·nt to
+// zero and reserved 2^61 cells).
 TEST(BinaryProtocolTest, ReplyFramesRenderToIdenticalTextLines) {
-  std::vector<Reply> replies;
-  {
-    Reply r;
-    r.kind = RequestKind::kDistance;
-    r.dist = 12345;
-    replies.push_back(r);
-    r.dist = kInfDist;  // unreachable sentinel
-    replies.push_back(r);
-  }
-  {
-    Reply r;
-    r.kind = RequestKind::kPath;
-    r.path.length = 9;
-    r.path.nodes = {0, 4, 7};
-    replies.push_back(r);
-  }
-  {
-    Reply r;
-    r.kind = RequestKind::kKNearest;
-    r.nearest = {{5, 2}, {9, 0}};
-    replies.push_back(r);
-  }
-  {
-    Reply r;
-    r.kind = RequestKind::kBatch;
-    r.dists = {1, kInfDist, 3};
-    replies.push_back(r);
-  }
-  {
-    Reply r;
-    r.kind = RequestKind::kMatrix;
-    r.num_sources = 2;
-    r.num_targets = 2;
-    r.dists = {0, 1, 2, 3};
-    replies.push_back(r);
-  }
-  {
-    Reply r;
-    r.kind = RequestKind::kStats;
-    r.text = "v=1 served=3";
-    replies.push_back(r);
-    r.kind = RequestKind::kUse;
-    r.text = "ch";
-    replies.push_back(r);
-  }
-  {
-    Reply r;
-    r.kind = RequestKind::kUpdate;
-    r.value = 4;
-    replies.push_back(r);
-    r.kind = RequestKind::kReload;
-    replies.push_back(r);
-    r.kind = RequestKind::kUpdateFile;
-    r.value2 = 6;
-    replies.push_back(r);
-    r.kind = RequestKind::kInvalidate;
-    replies.push_back(r);
-    r.kind = RequestKind::kQuit;
-    replies.push_back(r);
-  }
-  {
-    Reply r;
-    r.ok = false;
-    r.code = ErrorCode::kBadNode;
-    r.detail = "node id 7 out of range [0, 5)";
-    replies.push_back(r);
-  }
-  for (const Reply& reply : replies) {
-    const Opcode opcode =
-        OpcodeForKind(reply.ok ? reply.kind : RequestKind::kDistance);
-    const std::string frame = EncodeReplyFrame(reply, opcode, 11);
+  const auto render = [](RequestKind kind, std::string_view payload) {
     FrameHeader header;
-    std::string_view payload;
-    ASSERT_EQ(TryReadFrame(frame, &header, &payload), frame.size());
-    EXPECT_EQ(header.request_id, 11u);
-    EXPECT_EQ(ReplyFrameToText(header, payload), FormatReply(reply));
+    header.opcode = OpcodeForKind(kind);
+    return ReplyFrameToText(header, payload);
+  };
+  const std::string malformed = "ERR internal malformed reply payload";
+  Reply reply;  // every field set; each kind renders its own
+  reply.path.length = 9;
+  reply.path.nodes = {0, 4, 7};
+  reply.nearest = {{5, 2}, {9, 0}};
+  reply.dists = {1, kInfDist, 3, 0};
+  reply.num_sources = reply.num_targets = 2;
+  reply.text = "v=1 served=3";
+  reply.value = 4;
+  reply.value2 = 6;
+  for (const Dist dist : {Dist{12345}, kInfDist}) {
+    reply.dist = dist;
+    for (int kind = 0; kind <= static_cast<int>(RequestKind::kQuit); ++kind) {
+      reply.kind = static_cast<RequestKind>(kind);
+      const std::string frame =
+          EncodeReplyFrame(reply, OpcodeForKind(reply.kind), 11);
+      FrameHeader header;
+      std::string_view payload;
+      ASSERT_EQ(TryReadFrame(frame, &header, &payload), frame.size());
+      EXPECT_EQ(header.request_id, 11u);
+      EXPECT_EQ(ReplyFrameToText(header, payload), FormatReply(reply));
+    }
   }
+  for (const RequestKind kind :
+       {RequestKind::kPath, RequestKind::kKNearest, RequestKind::kBatch}) {
+    reply.kind = kind;
+    const std::string payload = EncodeReplyFrame(reply, OpcodeForKind(kind), 1)
+                                    .substr(kFrameHeaderBytes);
+    std::string huge = payload;  // a count far beyond the bytes present
+    huge.replace(kind == RequestKind::kPath ? 8 : 0, 4, "\xff\xff\xff\xff");
+    for (const std::string& bad :
+         {payload.substr(0, payload.size() - 1), payload + '\0', huge}) {
+      EXPECT_EQ(render(kind, bad), malformed);
+    }
+  }
+  std::string wrapped;
+  PutU32(&wrapped, 1u << 31);
+  PutU32(&wrapped, 1u << 30);
+  EXPECT_EQ(render(RequestKind::kMatrix, wrapped), malformed);
+
+  reply.ok = false;
+  reply.code = ErrorCode::kBadNode;
+  reply.detail = "node id 7 out of range [0, 5)";
+  const std::string frame = EncodeReplyFrame(reply, Opcode::kDistance, 11);
+  FrameHeader header;
+  std::string_view payload;
+  ASSERT_EQ(TryReadFrame(frame, &header, &payload), frame.size());
+  EXPECT_EQ(ReplyFrameToText(header, payload), FormatReply(reply));
+}
+
+// The README's v1 grammar and v2 opcode tables are rendered from the verb
+// rows: a new or changed row must change README.md to match.
+TEST(VerbTableTest, ReadmeProtocolTablesAreRenderedFromTheRows) {
+  std::string v1 = "| Request | Reply |\n|---|---|\n";
+  std::string v2 =
+      "| Opcode | Value | Request body | OK reply payload |\n"
+      "|---|---|---|---|\n"
+      "| `kHello` | 0x01 | server → client only | u32 version, u64 nodes, "
+      "u64 arcs |\n";
+  for (const VerbRow& row : kVerbs) {
+    v1 += "| `" + std::string(row.query ? "[@<backend>] " : "") +
+          std::string(row.usage) + "` | " + std::string(row.reply_doc) +
+          " |\n";
+    char value[8];
+    std::snprintf(value, sizeof(value), "0x%02x",
+                  static_cast<unsigned>(row.opcode));
+    v2 += "| `" + std::string(row.opcode_name) + "` | " + value + " | " +
+          std::string(row.body_doc) + " | " + std::string(row.payload_doc) +
+          " |\n";
+  }
+  const char* data_dir = std::getenv("AH_TEST_DATA_DIR");
+  std::ifstream in(std::string(data_dir != nullptr ? data_dir
+                                                   : AH_TEST_DATA_DIR_DEFAULT) +
+                   "/../../README.md");
+  ASSERT_TRUE(in) << "README.md not found";
+  std::stringstream readme;
+  readme << in.rdbuf();
+  EXPECT_NE(readme.str().find(v1), std::string::npos)
+      << "README.md's v1 grammar table should read:\n" << v1;
+  EXPECT_NE(readme.str().find(v2), std::string::npos)
+      << "README.md's v2 opcode table should read:\n" << v2;
 }
 
 // ---------------------------------------------------------------------------
 // TCP end-to-end, v2 binary protocol
 // ---------------------------------------------------------------------------
-
-TEST_F(TcpServerTest, V2NegotiationAndQueriesMatchV1ByteForByte) {
-  ServerConfig config;
-  config.num_threads = 2;
-  ServerStack stack(MakeOracle("ch", graph_), config);
-  stack.SetPois({0, 3, 6, 9});
-
-  TcpServer tcp(stack, TcpServerConfig{});
-  ASSERT_TRUE(tcp.Start());
-
-  LineClient v1;
-  ASSERT_TRUE(v1.Connect(tcp.Port()));
-  std::string banner;
-  ASSERT_TRUE(v1.ReadLine(&banner));
-
-  BinaryClient v2;
-  ASSERT_TRUE(v2.Connect(tcp.Port()));
-  EXPECT_EQ(v2.nodes(), stack.NumNodes());
-  EXPECT_EQ(v2.arcs(), stack.NumArcs());
-
-  const NodeId far = static_cast<NodeId>(graph_.NumNodes() - 1);
-  const std::string queries[] = {
-      "d 0 " + std::to_string(far),
-      "p 0 " + std::to_string(far),
-      "k 2 3",
-      "b 3 0 5 5 0 0 0",
-      "m 2 2 0 1 2 3",
-  };
-  for (const std::string& query : queries) {
-    std::string v1_line;
-    ASSERT_TRUE(v1.SendLine(query));
-    ASSERT_TRUE(v1.ReadLine(&v1_line));
-
-    const ParseResult parsed = ParseRequest(query, stack.Limits());
-    ASSERT_TRUE(parsed.ok) << query;
-    const std::uint64_t id =
-        v2.SendRequest(OpcodeForKind(parsed.request.kind),
-                       EncodeRequestBody(parsed.request));
-    ASSERT_NE(id, 0u);
-    BinaryClient::Frame frame;
-    ASSERT_TRUE(v2.ReadReplyFor(id, &frame));
-    EXPECT_EQ(frame.header.status, kStatusOk) << query;
-    EXPECT_EQ(ReplyFrameToText(frame.header, frame.payload), v1_line)
-        << query;
-  }
-
-  // The stats reply sees both protocols' request counters.
-  const std::uint64_t id = v2.SendRequest(Opcode::kStats, {});
-  BinaryClient::Frame frame;
-  ASSERT_TRUE(v2.ReadReplyFor(id, &frame));
-  EXPECT_NE(frame.payload.find("v1_requests="), std::string::npos);
-  EXPECT_NE(frame.payload.find("v2_requests="), std::string::npos);
-  EXPECT_NE(frame.payload.find("bytes_in="), std::string::npos);
-
-  // Quit: one empty OK frame, then the server closes.
-  const std::uint64_t quit_id = v2.SendRequest(Opcode::kQuit, {});
-  ASSERT_TRUE(v2.ReadReplyFor(quit_id, &frame));
-  EXPECT_EQ(frame.header.status, kStatusOk);
-  EXPECT_TRUE(frame.payload.empty());
-  EXPECT_TRUE(v2.AtEof());
-
-  v1.SendLine("q");
-  tcp.Stop();
-}
 
 // A frame delivered one fragment at a time — across many read() boundaries
 // — must decode exactly once, when complete.
@@ -1815,14 +1769,14 @@ TEST_F(TcpServerTest, MixedProtocolClientsShareOneServer) {
   tcp.Stop();
 }
 
-// Every opcode in the v2 table gets a direct on-the-wire exercise: each
-// request opcode earns its expected status on a live session, and a
-// client-sent kHello — a server-to-client-only opcode — is rejected as
-// bad-request instead of wedging the framing loop.
-// tools/lint_invariants.py's opcode-coverage check keys on the
-// Opcode::<name> literals here: a new opcode must be exercised in this
-// file and documented in the README's frame table.
-TEST_F(TcpServerTest, V2EveryOpcodeExercisedOnTheWire) {
+// Every verb row over both protocols on one live server: a request built
+// from the row's argument layout, sent as a v1 line and as a v2 frame,
+// reads back as the same text, byte for byte for queries and up to their
+// counters for admin replies. The v2 session negotiates the graph size,
+// reply frames echo the row's opcode, a client-sent kHello (the server's
+// banner, never a request) is bad-request, and the last row, q, closes both
+// sessions.
+TEST_F(TcpServerTest, EveryVerbAnswersTheSameOverV1AndV2) {
   auto registry = std::make_shared<IndexRegistry>(
       graph_, std::vector<std::string>{"ch"});
   ServerConfig config;
@@ -1831,82 +1785,80 @@ TEST_F(TcpServerTest, V2EveryOpcodeExercisedOnTheWire) {
   stack.SetPois({0, 3, 6, 9});
   TcpServer tcp(stack, TcpServerConfig{});
   ASSERT_TRUE(tcp.Start());
-
+  LineClient v1;
+  ASSERT_TRUE(v1.Connect(tcp.Port()));
+  std::string line;
+  ASSERT_TRUE(v1.ReadLine(&line));
   BinaryClient v2;
   ASSERT_TRUE(v2.Connect(tcp.Port()));
-
-  const NodeId far = static_cast<NodeId>(graph_.NumNodes() - 1);
-  ASSERT_GT(graph_.OutArcs(0).size(), 0u);
-  const NodeId via = graph_.OutArcs(0)[0].head;
-  const Weight heavier =
-      static_cast<Weight>(graph_.OutArcs(0)[0].weight + 1);
-
-  auto pair_body = [](NodeId a, NodeId b) {
-    std::string body;
-    PutU32(&body, a);
-    PutU32(&body, b);
-    return body;
-  };
-  std::string batch_body;
-  PutU32(&batch_body, 1);
-  PutU32(&batch_body, 0);
-  PutU32(&batch_body, far);
-  std::string matrix_body;
-  PutU32(&matrix_body, 1);
-  PutU32(&matrix_body, 1);
-  PutU32(&matrix_body, 0);
-  PutU32(&matrix_body, far);
-  std::string update_body;
-  PutU32(&update_body, 0);
-  PutU32(&update_body, via);
-  PutU32(&update_body, static_cast<std::uint32_t>(heavier));
-
-  struct OpcodeCase {
-    Opcode opcode;
-    std::string body;
-    std::string backend;
-    bool expect_ok;
-  };
-  const std::vector<OpcodeCase> cases = {
-      {Opcode::kDistance, pair_body(0, far), "", true},
-      {Opcode::kPath, pair_body(0, far), "", true},
-      {Opcode::kKNearest, pair_body(0, 2), "", true},
-      {Opcode::kBatch, batch_body, "", true},
-      {Opcode::kMatrix, matrix_body, "", true},
-      {Opcode::kStats, {}, "", true},
-      {Opcode::kInvalidate, {}, "", true},
-      {Opcode::kUse, {}, "ch", true},
-      {Opcode::kUpdate, update_body, "", true},
-      {Opcode::kUpdateFile, "definitely/not/a/delta-file", "", false},
-      {Opcode::kReload, {}, "", true},
-      // kHello is the server's banner frame, never a legal request.
-      {Opcode::kHello, {}, "", false},
-  };
-  for (const OpcodeCase& c : cases) {
-    const std::uint64_t id = v2.SendRequest(c.opcode, c.body, c.backend);
-    ASSERT_NE(id, 0u);
-    BinaryClient::Frame frame;
-    ASSERT_TRUE(v2.ReadReplyFor(id, &frame))
-        << "opcode 0x" << static_cast<int>(c.opcode);
-    EXPECT_EQ(frame.header.opcode, c.opcode);
-    EXPECT_EQ(frame.header.status == kStatusOk, c.expect_ok)
-        << ReplyFrameToText(frame.header, frame.payload);
-  }
-  ErrorCode hello_error = ErrorCode::kInternal;
-  {
-    const std::uint64_t id = v2.SendRequest(Opcode::kHello, {});
-    BinaryClient::Frame frame;
-    ASSERT_TRUE(v2.ReadReplyFor(id, &frame));
-    ASSERT_TRUE(ErrorFromStatus(frame.header.status, &hello_error));
-    EXPECT_EQ(hello_error, ErrorCode::kBadRequest);
-  }
-
-  stack.registry().WaitForRebuild();
-  const std::uint64_t quit_id = v2.SendRequest(Opcode::kQuit, {});
+  EXPECT_EQ(v2.nodes(), stack.NumNodes());
+  EXPECT_EQ(v2.arcs(), stack.NumArcs());
   BinaryClient::Frame frame;
-  ASSERT_TRUE(v2.ReadReplyFor(quit_id, &frame));
-  EXPECT_EQ(frame.header.status, kStatusOk);
+  ASSERT_TRUE(v2.ReadReplyFor(v2.SendRequest(Opcode::kHello, {}), &frame));
+  ErrorCode code = ErrorCode::kInternal;
+  ASSERT_TRUE(ErrorFromStatus(frame.header.status, &code));
+  EXPECT_EQ(code, ErrorCode::kBadRequest);
+
+  ASSERT_FALSE(graph_.OutArcs(0).empty());
+  const Arc arc = graph_.OutArcs(0)[0];
+  const std::string far = std::to_string(graph_.NumNodes() - 1);
+  const auto masked = [](const std::string& text) {
+    return std::regex_replace(text, std::regex("[0-9.]+"), "#");
+  };
+  std::string stats;
+  for (const VerbRow& row : kVerbs) {
+    std::string query(row.token);
+    switch (row.args) {
+      case Args::kNone:
+        break;
+      case Args::kNodePair:
+        query += " 0 " + far;
+        break;
+      case Args::kNodeK:
+        query += " 2 3";
+        break;
+      case Args::kArcWeight:
+        query += " 0 " + std::to_string(arc.head) + " " +
+                 std::to_string(arc.weight + 1);
+        break;
+      case Args::kPairs:
+        query += " 3 0 5 5 0 0 " + far;
+        break;
+      case Args::kLists:
+        query += " 2 2 0 1 2 " + far;
+        break;
+      case Args::kBackend:
+        query += " ch";
+        break;
+      case Args::kFile:
+        query += " definitely/not/a/delta-file";
+        break;
+    }
+    ASSERT_TRUE(v1.SendLine(query));
+    ASSERT_TRUE(v1.ReadLine(&line)) << query;
+    const ParseResult parsed = ParseRequest(query, stack.Limits());
+    ASSERT_TRUE(parsed.ok) << query << ": " << parsed.message;
+    ASSERT_TRUE(v2.ReadReplyFor(
+        v2.SendRequest(row.opcode, EncodeRequestBody(parsed.request),
+                       parsed.request.backend),
+        &frame))
+        << query;
+    EXPECT_EQ(frame.header.opcode, row.opcode) << query;
+    const std::string text = ReplyFrameToText(frame.header, frame.payload);
+    if (row.kind == RequestKind::kStats) stats = text;
+    EXPECT_EQ(row.query ? text : masked(text), row.query ? line : masked(line));
+    // Only the updf row names a file that does not exist.
+    EXPECT_EQ(StartsWith(line, "OK"), row.args != Args::kFile) << line;
+  }
+  // stats counted both protocols' requests and bytes; q's frame is empty.
+  EXPECT_NE(stats.find("v1_requests="), std::string::npos);
+  EXPECT_NE(stats.find("v2_requests="), std::string::npos);
+  EXPECT_NE(stats.find("bytes_in="), std::string::npos);
+  EXPECT_TRUE(frame.payload.empty());
+  EXPECT_EQ(line, "OK bye");
+  EXPECT_TRUE(v1.AtEof());
   EXPECT_TRUE(v2.AtEof());
+  registry->WaitForRebuild();
   tcp.Stop();
 }
 

@@ -42,21 +42,6 @@ backend-coverage
     string — search-only backends must be listed as artifact-free on
     purpose, not forgotten), and (d) be covered by the bench tables.
 
-verb-coverage
-    Every protocol verb dispatched in src/server/protocol.cc
-    (`verb == "x"`) must appear in the README grammar table (a `|` table
-    line) and be sent by tests/server_test.cc (inside a quoted request
-    string). A verb that parses but is undocumented or untested is how
-    protocol surface rots.
-
-opcode-coverage
-    The binary-protocol twin of verb-coverage: every opcode declared in
-    the Opcode enum of src/server/binary_protocol.h must appear in the
-    README's v2 frame table (a `|` table line) and as an `Opcode::kName`
-    literal in tests/server_test.cc — each opcode gets at least one
-    direct on-the-wire exercise, not just incidental coverage through a
-    text-to-frame translation loop.
-
 Exit status: 0 when clean, 1 on violations, 2 on usage errors.
 """
 
@@ -340,139 +325,11 @@ def check_backend_coverage(root: Path) -> list[Finding]:
     return findings
 
 
-VERB_DISPATCH_RE = re.compile(r'\bverb\s*==\s*"(\w+)"')
-QUOTED_STRING_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
-
-
-def check_verb_coverage(root: Path) -> list[Finding]:
-    protocol = root / "src/server/protocol.cc"
-    if not protocol.exists():
-        # Trees without the server layer (and linter self-test fixtures)
-        # have no protocol surface to cover.
-        return []
-    verbs: list[str] = []
-    for verb in VERB_DISPATCH_RE.findall(protocol.read_text(errors="replace")):
-        if verb not in verbs:
-            verbs.append(verb)
-    findings: list[Finding] = []
-
-    readme = root / "README.md"
-    # Grammar rows are markdown table lines; drop `<placeholder>` tokens so
-    # e.g. `<m>` in a reply column cannot masquerade as verb coverage.
-    table_text = ""
-    if readme.exists():
-        table_lines = [
-            re.sub(r"<[^>]*>", " ", line)
-            for line in readme.read_text(errors="replace").splitlines()
-            if line.lstrip().startswith("|")
-        ]
-        table_text = "\n".join(table_lines)
-
-    server_test = root / "tests/server_test.cc"
-    quoted: list[str] = []
-    if server_test.exists():
-        quoted = QUOTED_STRING_RE.findall(
-            server_test.read_text(errors="replace")
-        )
-
-    for verb in verbs:
-        word = re.compile(rf"\b{re.escape(verb)}\b")
-        if not word.search(table_text):
-            findings.append(
-                Finding(
-                    "verb-coverage",
-                    readme,
-                    1,
-                    f'protocol verb "{verb}" dispatched in '
-                    f"src/server/protocol.cc but absent from the README "
-                    f"grammar table",
-                )
-            )
-        if not any(word.search(s) for s in quoted):
-            findings.append(
-                Finding(
-                    "verb-coverage",
-                    server_test,
-                    1,
-                    f'protocol verb "{verb}" dispatched in '
-                    f"src/server/protocol.cc but never sent by "
-                    f"tests/server_test.cc",
-                )
-            )
-    return findings
-
-
-OPCODE_ENUM_RE = re.compile(
-    r"enum\s+class\s+Opcode[^{]*\{(.*?)\}", re.DOTALL
-)
-OPCODE_NAME_RE = re.compile(r"\b(k\w+)\s*=\s*0x[0-9a-fA-F]+")
-
-
-def check_opcode_coverage(root: Path) -> list[Finding]:
-    header = root / "src/server/binary_protocol.h"
-    if not header.exists():
-        # Trees without the binary protocol have no opcode surface.
-        return []
-    enum = OPCODE_ENUM_RE.search(header.read_text(errors="replace"))
-    if enum is None:
-        return [
-            Finding(
-                "opcode-coverage",
-                header,
-                1,
-                "no `enum class Opcode` found in binary_protocol.h",
-            )
-        ]
-    opcodes = OPCODE_NAME_RE.findall(enum.group(1))
-    findings: list[Finding] = []
-
-    readme = root / "README.md"
-    table_text = ""
-    if readme.exists():
-        table_text = "\n".join(
-            line
-            for line in readme.read_text(errors="replace").splitlines()
-            if line.lstrip().startswith("|")
-        )
-
-    server_test = root / "tests/server_test.cc"
-    test_text = (
-        server_test.read_text(errors="replace") if server_test.exists() else ""
-    )
-
-    for opcode in opcodes:
-        word = re.compile(rf"\b{re.escape(opcode)}\b")
-        if not word.search(table_text):
-            findings.append(
-                Finding(
-                    "opcode-coverage",
-                    readme,
-                    1,
-                    f"opcode {opcode} declared in binary_protocol.h but "
-                    f"absent from the README v2 frame table",
-                )
-            )
-        if not re.search(rf"\bOpcode::{re.escape(opcode)}\b", test_text):
-            findings.append(
-                Finding(
-                    "opcode-coverage",
-                    server_test,
-                    1,
-                    f"opcode {opcode} declared in binary_protocol.h but "
-                    f"never exercised as Opcode::{opcode} by "
-                    f"tests/server_test.cc",
-                )
-            )
-    return findings
-
-
 CHECKS = {
     "rng-discipline": check_rng_discipline,
     "ordered-commit": check_ordered_commit,
     "magic-unique": check_magic_unique,
     "backend-coverage": check_backend_coverage,
-    "verb-coverage": check_verb_coverage,
-    "opcode-coverage": check_opcode_coverage,
 }
 
 

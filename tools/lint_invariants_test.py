@@ -213,109 +213,6 @@ class LintInvariantsTest(unittest.TestCase):
         found = self.findings("backend-coverage")
         self.assertTrue(any("dispatch" in f.message for f in found))
 
-    # -- verb-coverage ------------------------------------------------------
-
-    def verb_tree(self, verbs, readme_rows, test_requests):
-        dispatch = "".join(
-            f'  if (verb == "{v}") return Handle{i}();\n'
-            for i, v in enumerate(verbs)
-        )
-        self.write(
-            "src/server/protocol.cc",
-            f"Request Parse(std::string verb) {{\n{dispatch}}}\n",
-        )
-        rows = "".join(f"| `{row}` | `OK ...` |\n" for row in readme_rows)
-        self.write("README.md", f"| Request | Reply |\n|---|---|\n{rows}")
-        sends = "".join(f'Send(conn, "{r}");\n' for r in test_requests)
-        self.write("tests/server_test.cc", sends)
-
-    def test_undocumented_verb_is_caught(self):
-        # "zz" dispatched but in neither the README table nor server_test.
-        self.verb_tree(
-            ["d", "zz"], ["d <s> <t>"], ["d 0 5"]
-        )
-        found = self.findings("verb-coverage")
-        self.assertEqual(self.checks_of(found), ["verb-coverage"] * 2)
-        self.assertTrue(all('"zz"' in f.message for f in found))
-
-    def test_reply_placeholder_does_not_count_as_coverage(self):
-        # `<m>` in a reply column must not satisfy coverage for verb "m".
-        self.write(
-            "src/server/protocol.cc",
-            'Request Parse(std::string verb) { if (verb == "m") return R(); }\n',
-        )
-        self.write(
-            "README.md",
-            "| Request | Reply |\n|---|---|\n| `k <s>` | `OK k <m> ...` |\n",
-        )
-        self.write("tests/server_test.cc", 'Send(conn, "m 1 1 0 5");\n')
-        found = self.findings("verb-coverage")
-        self.assertEqual(self.checks_of(found), ["verb-coverage"])
-        self.assertIn("README", str(found[0].path))
-
-    def test_full_verb_coverage_passes(self):
-        self.verb_tree(
-            ["d", "m", "q"],
-            ["[@<backend>] d <s> <t>", "m <ns> <nt> ...", "q"],
-            ["d 0 5", "m 1 1 0 5", "q"],
-        )
-        self.assertEqual(self.findings("verb-coverage"), [])
-
-    def test_trees_without_a_server_layer_are_exempt(self):
-        self.write("src/ch/order.cc", "int x;\n")
-        self.assertEqual(self.findings("verb-coverage"), [])
-
-    # -- opcode-coverage ----------------------------------------------------
-
-    def opcode_tree(self, opcodes, readme_ops, test_ops):
-        decls = "".join(
-            f"  {op} = 0x{i + 1:02x},\n" for i, op in enumerate(opcodes)
-        )
-        self.write(
-            "src/server/binary_protocol.h",
-            f"enum class Opcode : std::uint8_t {{\n{decls}}};\n",
-        )
-        rows = "".join(f"| `{op}` | 0x00 | body | reply |\n" for op in readme_ops)
-        self.write(
-            "README.md",
-            f"| Opcode | Value | Request body | OK reply payload |\n"
-            f"|---|---|---|---|\n{rows}",
-        )
-        uses = "".join(f"v2.SendRequest(Opcode::{op}, {{}});\n" for op in test_ops)
-        self.write("tests/server_test.cc", uses)
-
-    def test_undocumented_opcode_is_caught(self):
-        # kMatrix declared but in neither the README table nor server_test.
-        self.opcode_tree(
-            ["kDistance", "kMatrix"], ["kDistance"], ["kDistance"]
-        )
-        found = self.findings("opcode-coverage")
-        self.assertEqual(self.checks_of(found), ["opcode-coverage"] * 2)
-        self.assertTrue(all("kMatrix" in f.message for f in found))
-
-    def test_opcode_exercised_only_via_translation_is_caught(self):
-        # The opcode appears in the test file, but not as an Opcode::k
-        # literal — incidental coverage through OpcodeForKind() loops must
-        # not satisfy the check.
-        self.opcode_tree(["kPath"], ["kPath"], [])
-        self.write(
-            "tests/server_test.cc",
-            "v2.SendRequest(OpcodeForKind(parsed.request.kind), body);"
-            "  // kPath via loop\n",
-        )
-        found = self.findings("opcode-coverage")
-        self.assertEqual(self.checks_of(found), ["opcode-coverage"])
-        self.assertIn("server_test", str(found[0].path))
-
-    def test_full_opcode_coverage_passes(self):
-        ops = ["kHello", "kDistance", "kQuit"]
-        self.opcode_tree(ops, ops, ops)
-        self.assertEqual(self.findings("opcode-coverage"), [])
-
-    def test_trees_without_a_binary_protocol_are_exempt(self):
-        self.write("src/server/protocol.cc", "int x;\n")
-        self.assertEqual(self.findings("opcode-coverage"), [])
-
     # -- harness ------------------------------------------------------------
 
     def test_main_reports_and_exits_nonzero_on_violation(self):
