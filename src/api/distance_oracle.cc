@@ -309,7 +309,6 @@ class AhOracle final : public DistanceOracle {
         query_options_{options.ah_pruned ? AhQueryMode::kPruned
                                          : AhQueryMode::kExact,
                        /*use_proximity=*/true,
-                       /*use_elevating=*/true,
                        /*max_seed_walk=*/256} {
     build_stats_.seconds = index_.build_stats().total_seconds;
     build_stats_.index_bytes = index_.SizeBytes();

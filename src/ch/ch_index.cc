@@ -1,6 +1,5 @@
 #include "ch/ch_index.h"
 
-#include <numeric>
 #include <stdexcept>
 
 #include "hier/greedy_order.h"
@@ -17,16 +16,8 @@ ChIndex ChIndex::Build(const Graph& g, const ChParams& params) {
   auto certs = std::make_shared<WitnessCertTable>();
   engine.RecordWitnessCerts(certs.get());
 
-  std::vector<NodeId> all(n);
-  std::iota(all.begin(), all.end(), 0);
-  const GreedyOrderParams order_params{params.edge_diff_weight,
-                                       params.neighbor_weight};
-  const std::vector<NodeId> order =
-      ContractGreedySubset(engine, all, order_params);
-
-  std::vector<Rank> rank(n, 0);
-  for (Rank r = 0; r < order.size(); ++r) rank[order[r]] = r;
-
+  std::vector<Rank> rank = ContractAllGreedy(
+      engine, {params.edge_diff_weight, params.neighbor_weight});
   certs->Finalize(n);
 
   ChIndex index;

@@ -117,15 +117,14 @@ Dist AhQuery::RunSearch(NodeId s, NodeId t, bool collect_records) {
   cur_t_ = t;
   const bool pruned = options_.mode == AhQueryMode::kPruned;
   const bool proximity = pruned && options_.use_proximity;
-  const bool elevating = pruned && options_.use_elevating;
 
-  jump_level_ = elevating ? index_.QueryJumpLevel(s, t) : 0;
+  jump_level_ = pruned ? index_.QueryJumpLevel(s, t) : 0;
 
   fwd_seeds_.assign(1, SearchSeed{s, 0});
   bwd_seeds_.assign(1, SearchSeed{t, 0});
   fwd_record_.clear();
   bwd_record_.clear();
-  if (elevating && jump_level_ > 0) {
+  if (jump_level_ > 0) {
     BuildSeeds(s, jump_level_, /*forward=*/true, &fwd_seeds_,
                collect_records ? &fwd_record_ : nullptr);
     BuildSeeds(t, jump_level_, /*forward=*/false, &bwd_seeds_,

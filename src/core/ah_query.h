@@ -24,10 +24,9 @@ enum class AhQueryMode { kExact, kPruned };
 
 struct AhQueryOptions {
   AhQueryMode mode = AhQueryMode::kPruned;
-  /// Apply the proximity constraint (ignored in kExact mode).
+  /// Apply the proximity constraint (ignored in kExact mode). kPruned
+  /// always starts its searches from gateway seeds.
   bool use_proximity = true;
-  /// Start searches from gateway seeds (ignored in kExact mode).
-  bool use_elevating = true;
   /// Safety cap on the gateway pre-walk.
   std::size_t max_seed_walk = 256;
 };

@@ -38,7 +38,7 @@ ContractionEngine::ContractionEngine(std::size_t n,
   shortcuts_added_ = 0;  // Loading the initial arcs is not "adding shortcuts".
 }
 
-bool ContractionEngine::AddOrImprove(NodeId u, NodeId w, Weight weight,
+bool ContractionEngine::AddOrImprove(NodeId u, NodeId w, Dist weight,
                                      NodeId mid) {
   for (OutArcRec& rec : out_[u]) {
     if (rec.head != w) continue;
@@ -55,10 +55,19 @@ bool ContractionEngine::AddOrImprove(NodeId u, NodeId w, Weight weight,
     ++shortcuts_added_;
     return true;
   }
-  out_[u].push_back(OutArcRec{w, weight, mid});
-  in_[w].push_back(InArcRec{u, weight, mid});
+  out_[u].push_back(OutArcRec{w, mid, weight});
+  in_[w].push_back(InArcRec{u, mid, weight});
   ++shortcuts_added_;
   return true;
+}
+
+void ContractionEngine::Emit(NodeId tail, NodeId head, Dist weight,
+                             NodeId mid) {
+  if (weight < kMaxWeight) {
+    emitted_.push_back(HierArc{tail, head, static_cast<Weight>(weight), mid});
+  } else {
+    heavy_.push_back(HeavyArc{tail, head, weight, mid});
+  }
 }
 
 void ContractionEngine::RunWitnessSearch(NodeId u, NodeId excluded) {
@@ -226,7 +235,7 @@ std::size_t ContractionEngine::Contract(NodeId v) {
     for (const OutArcRec& oa : out_[v]) {
       const NodeId w = oa.head;
       if (contracted_[w] || w == u) continue;
-      const Dist via = static_cast<Dist>(ia.weight) + oa.weight;
+      const Dist via = ia.weight + oa.weight;
       cand_.push_back(CandRec{w, via, false});
       target_stamp_[w] = target_round_;
       targets_.push_back(
@@ -238,22 +247,17 @@ std::size_t ContractionEngine::Contract(NodeId v) {
     if (!targets_.empty()) RunWitnessSearch(u, v);
     for (const CandRec& c : cand_) {
       if (c.pruned) continue;  // Prefilter proved a witness.
-      if (c.via > static_cast<Dist>(kMaxWeight)) continue;  // Overflow guard.
       if (WitnessDist(c.w) <= c.via) {  // Witness found.
         if (cert_sink_ != nullptr) RecordPruneCert(v, u, c.w);
         continue;
       }
-      if (AddOrImprove(u, c.w, static_cast<Weight>(c.via), v)) ++added;
+      if (AddOrImprove(u, c.w, c.via, v)) ++added;
     }
   }
 
   // v's incident arcs have reached their final weights: emit them.
-  for (const InArcRec& ia : in_[v]) {
-    emitted_.push_back(HierArc{ia.tail, v, ia.weight, ia.mid});
-  }
-  for (const OutArcRec& oa : out_[v]) {
-    emitted_.push_back(HierArc{v, oa.head, oa.weight, oa.mid});
-  }
+  for (const InArcRec& ia : in_[v]) Emit(ia.tail, v, ia.weight, ia.mid);
+  for (const OutArcRec& oa : out_[v]) Emit(v, oa.head, oa.weight, oa.mid);
 
   // Detach v from its neighbors' adjacency.
   for (const InArcRec& ia : in_[v]) {
@@ -298,14 +302,14 @@ std::size_t ContractionEngine::SimulateContraction(NodeId v) {
       if (oa.head == u) continue;
       target_stamp_[oa.head] = target_round_;
       targets_.push_back(
-          Target{oa.head, static_cast<Dist>(ia.weight) + oa.weight, 0});
+          Target{oa.head, ia.weight + oa.weight, 0});
     }
     if (targets_.empty()) continue;
     RunWitnessSearch(u, v);
     for (const OutArcRec& oa : out_[v]) {
       const NodeId w = oa.head;
       if (w == u) continue;
-      const Dist via = static_cast<Dist>(ia.weight) + oa.weight;
+      const Dist via = ia.weight + oa.weight;
       if (WitnessDist(w) <= via) continue;
       // Would the shortcut actually change the graph?
       bool improves = true;
@@ -326,7 +330,8 @@ std::vector<HierArc> ContractionEngine::RemainingArcs() const {
   for (NodeId v = 0; v < out_.size(); ++v) {
     if (contracted_[v]) continue;
     for (const OutArcRec& a : out_[v]) {
-      arcs.push_back(HierArc{v, a.head, a.weight, a.mid});
+      if (a.weight >= kMaxWeight) continue;  // Heavy.
+      arcs.push_back(HierArc{v, a.head, static_cast<Weight>(a.weight), a.mid});
     }
   }
   return arcs;

@@ -33,6 +33,18 @@ struct HierArc {
   NodeId mid = kInvalidNode;
 };
 
+/// A hierarchy arc whose weight does not fit a Weight: a shortcut over a
+/// path longer than kMaxWeight - 1, which only graphs with near-maximal arc
+/// weights produce. The engine keeps such arcs, so its hierarchy preserves
+/// every distance; SearchGraph has no room for them, so CH and AH queries
+/// never see them. The hub-label derive (hl/hl_index.h) reads them.
+struct HeavyArc {
+  NodeId tail = kInvalidNode;
+  NodeId head = kInvalidNode;
+  Dist weight = 0;
+  NodeId mid = kInvalidNode;
+};
+
 struct ContractionParams {
   /// Budget of settled nodes per witness search. When the budget runs out
   /// the search is inconclusive and the shortcut is added anyway (safe: it
@@ -79,14 +91,17 @@ class ContractionEngine {
   /// Counts the shortcuts Contract(v) would add, without mutating anything.
   std::size_t SimulateContraction(NodeId v);
 
-  /// Arcs currently connecting active (uncontracted) nodes. After a partial
-  /// contraction this is the distance-preserving overlay on the survivors.
+  /// Arcs currently connecting active (uncontracted) nodes, heavy arcs
+  /// left out. After a partial contraction this is the overlay on the
+  /// survivors; it preserves every distance below kMaxWeight.
   std::vector<HierArc> RemainingArcs() const;
 
   /// Arcs emitted so far; each arc of the final hierarchy appears exactly
   /// once (when its first endpoint is contracted), with its final weight and
-  /// midpoint. Contract every node and this is the whole hierarchy.
+  /// midpoint — in EmittedArcs if its weight fits a Weight, else in
+  /// HeavyArcs. Contract every node and the two are the whole hierarchy.
   const std::vector<HierArc>& EmittedArcs() const { return emitted_; }
+  const std::vector<HeavyArc>& HeavyArcs() const { return heavy_; }
 
   std::size_t NumShortcutsAdded() const { return shortcuts_added_; }
 
@@ -105,19 +120,23 @@ class ContractionEngine {
   void RecordWitnessCerts(WitnessCertTable* sink) { cert_sink_ = sink; }
 
  private:
+  // Weights are Dist: a shortcut may outgrow a Weight (see HeavyArc).
   struct OutArcRec {
     NodeId head;
-    Weight weight;
     NodeId mid;
+    Dist weight;
   };
   struct InArcRec {
     NodeId tail;
-    Weight weight;
     NodeId mid;
+    Dist weight;
   };
 
   // Inserts or improves u→w; updates both adjacency mirrors.
-  bool AddOrImprove(NodeId u, NodeId w, Weight weight, NodeId mid);
+  bool AddOrImprove(NodeId u, NodeId w, Dist weight, NodeId mid);
+
+  // Appends an arc of final weight to emitted_ or, if it is heavy, heavy_.
+  void Emit(NodeId tail, NodeId head, Dist weight, NodeId mid);
 
   // Shortest u→targets distance check in the active graph minus `excluded`,
   // against the targets_ list (stamped with target_round_) the caller
@@ -165,6 +184,7 @@ class ContractionEngine {
   std::vector<bool> contracted_;
   std::vector<std::uint32_t> contracted_neighbors_;
   std::vector<HierArc> emitted_;
+  std::vector<HeavyArc> heavy_;
   std::size_t num_contracted_ = 0;
   std::size_t shortcuts_added_ = 0;
   std::size_t witness_searches_ = 0;

@@ -1,6 +1,7 @@
 #include "hier/greedy_order.h"
 
 #include <cstdint>
+#include <numeric>
 
 #include "util/indexed_heap.h"
 
@@ -46,6 +47,17 @@ std::vector<NodeId> ContractGreedySubset(ContractionEngine& engine,
     order.push_back(v);
   }
   return order;
+}
+
+std::vector<Rank> ContractAllGreedy(ContractionEngine& engine,
+                                    const GreedyOrderParams& params) {
+  const std::size_t n = engine.NumNodes();
+  std::vector<NodeId> all(n);
+  std::iota(all.begin(), all.end(), 0);
+  const std::vector<NodeId> order = ContractGreedySubset(engine, all, params);
+  std::vector<Rank> rank(n, 0);
+  for (Rank r = 0; r < order.size(); ++r) rank[order[r]] = r;
+  return rank;
 }
 
 }  // namespace ah

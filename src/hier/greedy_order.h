@@ -23,4 +23,10 @@ std::vector<NodeId> ContractGreedySubset(ContractionEngine& engine,
                                          std::span<const NodeId> subset,
                                          const GreedyOrderParams& params = {});
 
+/// Contracts every node of `engine` in lazy greedy order — the hierarchy CH
+/// queries and hl's labels are built from — and returns each node's rank,
+/// its position in that order. All nodes must be active.
+std::vector<Rank> ContractAllGreedy(ContractionEngine& engine,
+                                    const GreedyOrderParams& params = {});
+
 }  // namespace ah

@@ -1,16 +1,13 @@
 #include "hl/hl_index.h"
 
 #include <algorithm>
-#include <memory>
-#include <numeric>
-#include <queue>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "hier/contraction.h"
 #include "hier/greedy_order.h"
-#include "util/parallel.h"
+#include "hier/search_graph.h"
 #include "util/serialize.h"
 #include "util/timer.h"
 
@@ -18,114 +15,82 @@ namespace ah {
 
 namespace {
 
-/// Hubs are processed in fixed rounds of this many: searches within one
-/// round prune only against labels committed before the round, so the label
-/// set depends on this constant partition — never on the thread count or on
-/// scheduling. 32 keeps every worker busy at the WorkerThreads() cap of 16
-/// while bounding how many hubs skip pruning against each other.
-constexpr std::size_t kHubRound = 32;
-
-/// A committed label during the build: the interleaved form the pruning
-/// merge joins read, flattened into an HlLabelTable at the end. "AHHL" v1
-/// images stored their labels in exactly this 16-byte form.
+/// A label entry during the sweep: the interleaved form, flattened into an
+/// HlLabelTable at the end. "AHHL" v1 images stored their labels in exactly
+/// this 16-byte form.
 struct BuildLabel {
   Rank hub;
   NodeId parent;
   Dist dist;
 };
 
-/// One surviving (non-pruned) settle of a hub search, in settle order —
-/// parents always precede children.
-struct DeltaEntry {
-  NodeId node;
-  NodeId parent;
-  Dist dist;
-};
+/// One direction's labels during the sweep, by hub rank. The sweep labels
+/// ranks in order, so each label is one contiguous piece of `pool`,
+/// complete before any lower node reads it.
+struct SweepLabels {
+  std::vector<BuildLabel> pool;
+  std::vector<std::uint64_t> first{0};  // Pool offsets by rank.
 
-struct HubDelta {
-  std::vector<DeltaEntry> in;   // forward search: hub → node
-  std::vector<DeltaEntry> out;  // backward search: node → hub
-};
-
-/// Walks the concatenation of a node's committed label array and its staged
-/// labels from earlier hubs of the current round. Staged ranks are strictly
-/// larger than every committed rank, so the concatenation stays sorted.
-struct LabelCursor {
-  std::span<const BuildLabel> a, b;
-  std::size_t i = 0;
-  bool AtEnd() const { return i >= a.size() + b.size(); }
-  const BuildLabel& Cur() const {
-    return i < a.size() ? a[i] : b[i - a.size()];
+  std::span<const BuildLabel> Of(Rank r) const {
+    return {pool.data() + first[r], pool.data() + first[r + 1]};
   }
-  void Next() { ++i; }
 };
 
-/// The 2-hop query: min over common hubs of dout + din.
-Dist MergeJoinUB(LabelCursor x, LabelCursor y) {
-  Dist best = kInfDist;
-  while (!x.AtEnd() && !y.AtEnd()) {
-    const Rank rx = x.Cur().hub;
-    const Rank ry = y.Cur().hub;
-    if (rx == ry) {
-      best = std::min(best, x.Cur().dist + y.Cur().dist);
-      x.Next();
-      y.Next();
-    } else if (rx < ry) {
-      x.Next();
-    } else {
-      y.Next();
-    }
-  }
-  return best;
-}
+/// An upward arc of the node being labeled: the hub rank at its other end,
+/// its weight, and the node's original-graph neighbour on it.
+struct UpStep {
+  Rank rank;
+  Dist weight;
+  NodeId hop;
+};
 
-/// Per-worker pruned Dijkstra scratch: timestamped labels + lazy-deletion
-/// heap, reused across every hub the worker runs.
-class PrunedSearch {
- public:
-  explicit PrunedSearch(std::size_t n)
-      : dist_(n, 0), parent_(n, kInvalidNode), stamp_(n, 0) {}
+/// Per-hub scratch of the sweep, indexed by hub rank; kInfDist when unset.
+struct SweepScratch {
+  explicit SweepScratch(std::size_t n)
+      : cand(n, {kInfDist, kInvalidNode}), kept(n, kInfDist) {}
 
-  /// Pruned search from `hub` over out-arcs (forward) or in-arcs
-  /// (backward). A node settled at distance d with covered(v, d) true is
-  /// pruned: recorded nowhere and never relaxed from — so every surviving
-  /// node's whole parent chain also survives (only labeled nodes relax).
-  template <typename CoveredFn>
-  void Run(const Graph& g, NodeId hub, bool forward, CoveredFn&& covered,
-           std::vector<DeltaEntry>* delta) {
-    ++round_;
-    dist_[hub] = 0;
-    parent_[hub] = kInvalidNode;
-    stamp_[hub] = round_;
-    heap_.push({0, hub});
-    while (!heap_.empty()) {
-      const auto [d, v] = heap_.top();
-      heap_.pop();
-      if (d != dist_[v] || stamp_[v] != round_) continue;  // stale entry
-      if (v != hub && covered(v, d)) continue;  // pruned: no label, no relax
-      delta->push_back({v, parent_[v], d});
-      for (const Arc& a : forward ? g.OutArcs(v) : g.InArcs(v)) {
-        const Dist nd = d + a.weight;
-        if (stamp_[a.head] != round_ || nd < dist_[a.head]) {
-          stamp_[a.head] = round_;
-          dist_[a.head] = nd;
-          parent_[a.head] = v;
-          heap_.push({nd, a.head});
-        }
+  std::vector<std::pair<Dist, NodeId>> cand;  // Best (distance, parent).
+  std::vector<Rank> touched;
+  std::vector<Dist> kept;
+};
+
+/// Appends rank r's label to `labels`: its upward neighbours' labels plus
+/// the arc weight, min-merged per hub and walked in ascending hub rank. A
+/// candidate (h, d) is kept unless a hub x kept before it gives
+/// kept[x] + mirror(h)[x] <= d (PLL's pruning test); then r itself at 0.
+/// `mirror` holds the opposite direction's labels of every rank above r.
+void SweepRank(Rank r, std::span<const UpStep> up, const SweepLabels& mirror,
+               SweepScratch& s, SweepLabels* labels) {
+  for (const UpStep& step : up) {
+    for (const BuildLabel& l : labels->Of(step.rank)) {
+      auto& [dist, parent] = s.cand[l.hub];
+      if (dist == kInfDist) s.touched.push_back(l.hub);
+      if (l.dist + step.weight < dist) {
+        dist = l.dist + step.weight;
+        parent = step.hop;
       }
     }
   }
-
- private:
-  std::priority_queue<std::pair<Dist, NodeId>,
-                      std::vector<std::pair<Dist, NodeId>>,
-                      std::greater<>>
-      heap_;
-  std::vector<Dist> dist_;
-  std::vector<NodeId> parent_;
-  std::vector<std::uint32_t> stamp_;
-  std::uint32_t round_ = 0;
-};
+  std::sort(s.touched.begin(), s.touched.end());
+  const std::size_t begin = labels->pool.size();
+  for (const Rank h : s.touched) {
+    const auto [d, parent] =
+        std::exchange(s.cand[h], {kInfDist, kInvalidNode});
+    const auto covers = [&](const BuildLabel& x) {
+      return x.dist <= d && s.kept[x.hub] <= d - x.dist;
+    };
+    if (std::none_of(mirror.Of(h).begin(), mirror.Of(h).end(), covers)) {
+      s.kept[h] = d;
+      labels->pool.push_back({h, parent, d});
+    }
+  }
+  s.touched.clear();
+  for (std::size_t i = begin; i < labels->pool.size(); ++i) {
+    s.kept[labels->pool[i].hub] = kInfDist;
+  }
+  labels->pool.push_back({r, kInvalidNode, 0});
+  labels->first.push_back(labels->pool.size());
+}
 
 /// Parent of `v`'s label for `hub` (binary search over the hot entries,
 /// then one cold read); kInvalidNode if `v` has no such label or it is the
@@ -276,184 +241,114 @@ Dist HlLabelTable::OverflowDist(std::uint64_t pos) const {
   return it->dist;  // Build and Load give every sentinel slot its entry.
 }
 
-HlIndex HlIndex::Build(const Graph& g, const HlParams& params) {
+HlIndex HlIndex::Build(const Graph& g) {
   Timer timer;
-  const std::size_t n = g.NumNodes();
-
-  // Hub order: importance-descending = the reverse of the greedy
-  // contraction order CH builds its hierarchy from (last contracted = most
-  // important = rank 0).
-  std::vector<NodeId> hub_of_rank;
-  {
-    ContractionEngine engine(n, ArcsOf(g), ContractionParams{});
-    std::vector<NodeId> all(n);
-    std::iota(all.begin(), all.end(), 0);
-    const std::vector<NodeId> order =
-        ContractGreedySubset(engine, all, GreedyOrderParams{});
-    hub_of_rank.assign(order.rbegin(), order.rend());
-  }
-
-  HlIndex index = BuildWithHubOrder(g, std::move(hub_of_rank), params);
+  ContractionEngine engine(g.NumNodes(), ArcsOf(g));
+  std::vector<Rank> rank = ContractAllGreedy(engine);
+  HlIndex index = Derive(engine, std::move(rank));
   index.build_stats_.seconds = timer.Seconds();
   return index;
 }
 
-HlIndex HlIndex::RebuildWithFrozenOrder(const Graph& g, const HlIndex& previous,
-                                        const HlParams& params) {
+HlIndex HlIndex::RebuildWithFrozenOrder(const Graph& g,
+                                        const HlIndex& previous) {
   Timer timer;
-  if (g.NumNodes() != previous.NumNodes()) {
+  const std::size_t n = g.NumNodes();
+  if (n != previous.NumNodes()) {
     throw std::invalid_argument(
         "HlIndex::RebuildWithFrozenOrder: node count changed");
   }
-  HlIndex index = BuildWithHubOrder(g, previous.hub_of_rank_, params);
+  // Least important first: hub rank n - 1 is contracted as CH rank 0.
+  ContractionEngine engine(n, ArcsOf(g));
+  std::vector<Rank> rank(n);
+  for (Rank r = 0; r < n; ++r) {
+    const NodeId v = previous.hub_of_rank_[n - 1 - r];
+    engine.Contract(v);
+    rank[v] = r;
+  }
+  HlIndex index = Derive(engine, std::move(rank));
   index.build_stats_.seconds = timer.Seconds();
   return index;
 }
 
-HlIndex HlIndex::BuildWithHubOrder(const Graph& g,
-                                   std::vector<NodeId> hub_of_rank,
-                                   const HlParams& params) {
+HlIndex HlIndex::Derive(const ContractionEngine& contracted,
+                        std::vector<Rank> rank) {
+  const std::size_t n = rank.size();
   HlIndex index;
-  const std::size_t n = g.NumNodes();
-  index.hub_of_rank_ = std::move(hub_of_rank);
+  std::vector<Rank> hub_rank(n);
+  index.hub_of_rank_.resize(n);
+  for (NodeId v = 0; v < n; ++v) {
+    hub_rank[v] = static_cast<Rank>(n - 1 - rank[v]);
+    index.hub_of_rank_[hub_rank[v]] = v;
+  }
+  const SearchGraph hierarchy(n, contracted.EmittedArcs(), std::move(rank));
 
-  const std::size_t threads =
-      params.build_threads == 0 ? WorkerThreads() : params.build_threads;
-  const std::size_t window = std::max<std::size_t>(2, 2 * threads);
-
-  // Committed labels (every rank before the current round): the only thing
-  // in-flight searches read. Staged labels: this round's commits, written
-  // and read exclusively by the serial committer, published at the round
-  // barrier — so commits never race the searches.
-  std::vector<std::vector<BuildLabel>> in_committed(n), out_committed(n);
-  std::vector<std::vector<BuildLabel>> in_staged(n), out_staged(n);
-  std::vector<NodeId> touched_in, touched_out;
-
-  std::vector<std::unique_ptr<PrunedSearch>> scratch(
-      std::max<std::size_t>(1, std::min(threads, kHubRound)));
-  std::vector<HubDelta> slots(std::max<std::size_t>(
-      1, std::min(window, std::min(kHubRound, std::max<std::size_t>(1, n)))));
-
-  // Commit-time scratch: marks which nodes of the current delta survived,
-  // so dropping a covered node drops its whole subtree with it (path
-  // recovery walks parent chains — a kept child may never point at a
-  // dropped parent).
-  std::vector<std::uint32_t> kept_stamp(n, 0);
-  std::uint32_t commit_round = 0;
-  std::size_t max_live = 0;
-
-  for (std::size_t round_start = 0; round_start < n;
-       round_start += kHubRound) {
-    const std::size_t round_size = std::min(kHubRound, n - round_start);
-
-    const WindowedChunkStats round_stats = ParallelChunksWindowed(
-        round_size, 1, window,
-        [&](std::size_t c, std::size_t, std::size_t, std::size_t tid) {
-          if (!scratch[tid]) scratch[tid] = std::make_unique<PrunedSearch>(n);
-          const Rank r = static_cast<Rank>(round_start + c);
-          const NodeId hub = index.hub_of_rank_[r];
-          HubDelta& delta = slots[c % slots.size()];
-          delta.in.clear();
-          delta.out.clear();
-          scratch[tid]->Run(
-              g, hub, /*forward=*/true,
-              [&](NodeId v, Dist d) {
-                return MergeJoinUB(LabelCursor{out_committed[hub], {}},
-                                   LabelCursor{in_committed[v], {}}) <= d;
-              },
-              &delta.in);
-          scratch[tid]->Run(
-              g, hub, /*forward=*/false,
-              [&](NodeId v, Dist d) {
-                return MergeJoinUB(LabelCursor{out_committed[v], {}},
-                                   LabelCursor{in_committed[hub], {}}) <= d;
-              },
-              &delta.out);
-        },
-        [&](std::size_t c, std::size_t, std::size_t) {
-          // Serial commit in hub-rank order. Each entry is re-pruned
-          // against everything committed so far — including earlier hubs
-          // of this round, which the searches could not see — and covered
-          // subtrees are dropped whole (the cascade keeps parent chains
-          // intact, and coverage by a higher-ranked hub makes the subtree's
-          // labels redundant by the standard pruning argument).
-          const Rank r = static_cast<Rank>(round_start + c);
-          const NodeId hub = index.hub_of_rank_[r];
-          HubDelta& delta = slots[c % slots.size()];
-          ++commit_round;
-          for (const DeltaEntry& e : delta.in) {
-            const bool root = e.node == hub;
-            if (!root && kept_stamp[e.parent] != commit_round) continue;
-            if (!root &&
-                MergeJoinUB(
-                    LabelCursor{out_committed[hub], out_staged[hub]},
-                    LabelCursor{in_committed[e.node], in_staged[e.node]}) <=
-                    e.dist) {
-              continue;
-            }
-            kept_stamp[e.node] = commit_round;
-            if (in_staged[e.node].empty()) touched_in.push_back(e.node);
-            in_staged[e.node].push_back(BuildLabel{r, e.parent, e.dist});
-          }
-          ++commit_round;
-          for (const DeltaEntry& e : delta.out) {
-            const bool root = e.node == hub;
-            if (!root && kept_stamp[e.parent] != commit_round) continue;
-            if (!root &&
-                MergeJoinUB(
-                    LabelCursor{out_committed[e.node], out_staged[e.node]},
-                    LabelCursor{in_committed[hub], in_staged[hub]}) <=
-                    e.dist) {
-              continue;
-            }
-            kept_stamp[e.node] = commit_round;
-            if (out_staged[e.node].empty()) touched_out.push_back(e.node);
-            out_staged[e.node].push_back(BuildLabel{r, e.parent, e.dist});
-          }
-        },
-        threads);
-    max_live = std::max(max_live, round_stats.max_live_chunks);
-
-    // Round barrier: publish the staged labels so the next round's searches
-    // prune against them. Ranks only grow, so appending keeps the arrays
-    // sorted by hub rank.
-    for (const NodeId v : touched_in) {
-      in_committed[v].insert(in_committed[v].end(), in_staged[v].begin(),
-                             in_staged[v].end());
-      in_staged[v].clear();
+  // Heavy arcs by (tail, head). A heavy arc's halves may be heavy too, so
+  // the hop lookups descend through them to an arc `hierarchy` stores.
+  std::vector<HeavyArc> heavy = contracted.HeavyArcs();
+  const auto key = [](const HeavyArc& a) { return std::pair{a.tail, a.head}; };
+  std::ranges::sort(heavy, {}, key);
+  const auto heavy_mid = [&](NodeId u, NodeId v) {
+    const auto it = std::ranges::lower_bound(heavy, std::pair{u, v}, {}, key);
+    return it != heavy.end() && key(*it) == std::pair{u, v} ? it->mid
+                                                            : kInvalidNode;
+  };
+  std::vector<NodeId> path;
+  const auto first_hop = [&](NodeId u, NodeId v) {
+    for (NodeId m; (m = heavy_mid(u, v)) != kInvalidNode;) v = m;
+    path.clear();
+    hierarchy.AppendUnpacked(u, v, &path);
+    return path.front();
+  };
+  const auto last_hop = [&](NodeId u, NodeId v) {
+    for (NodeId m; (m = heavy_mid(u, v)) != kInvalidNode;) u = m;
+    path.assign(1, u);
+    hierarchy.AppendUnpacked(u, v, &path);
+    return path[path.size() - 2];
+  };
+  std::vector<std::vector<UpStep>> heavy_out(n), heavy_in(n);
+  for (const HeavyArc& a : heavy) {
+    if (hub_rank[a.head] < hub_rank[a.tail]) {
+      heavy_out[a.tail].push_back(
+          {hub_rank[a.head], a.weight, first_hop(a.tail, a.head)});
+    } else {
+      heavy_in[a.head].push_back(
+          {hub_rank[a.tail], a.weight, last_hop(a.tail, a.head)});
     }
-    touched_in.clear();
-    for (const NodeId v : touched_out) {
-      out_committed[v].insert(out_committed[v].end(), out_staged[v].begin(),
-                              out_staged[v].end());
-      out_staged[v].clear();
-    }
-    touched_out.clear();
   }
 
-  // Flatten the per-node vectors into the query-time hot/cold tables.
-  const auto flatten = [n](const std::vector<std::vector<BuildLabel>>& labels,
-                           HlLabelTable* table) {
-    std::size_t total = 0;
-    for (const std::vector<BuildLabel>& l : labels) total += l.size();
-    table->first.assign(n + 1, 0);
-    table->hot.reserve(total);
-    table->parent.reserve(total);
+  // From the top rank down: every upward neighbour is labeled before v.
+  SweepLabels out, in;
+  SweepScratch scratch(n);
+  std::vector<UpStep> up;
+  for (Rank r = 0; r < n; ++r) {
+    const NodeId v = index.hub_of_rank_[r];
+    up = heavy_out[v];
+    for (const UpArc& a : hierarchy.UpOut(v)) {
+      up.push_back({hub_rank[a.node], a.weight, first_hop(v, a.node)});
+    }
+    SweepRank(r, up, in, scratch, &out);
+    up = heavy_in[v];
+    for (const UpArc& a : hierarchy.UpIn(v)) {
+      up.push_back({hub_rank[a.node], a.weight, last_hop(a.node, v)});
+    }
+    SweepRank(r, up, out, scratch, &in);
+  }
+
+  // Flatten into the query-time tables, in node-id CSR order.
+  for (const auto& [labels, table] :
+       {std::pair{&in, &index.in_}, std::pair{&out, &index.out_}}) {
+    table->first.resize(n + 1);
     for (NodeId v = 0; v < n; ++v) {
       table->first[v] = table->hot.size();
-      for (const BuildLabel& l : labels[v]) {
+      for (const BuildLabel& l : labels->Of(hub_rank[v])) {
         AppendLabel(table, l.hub, l.parent, l.dist);
       }
     }
     table->first[n] = table->hot.size();
-  };
-  flatten(in_committed, &index.in_);
-  flatten(out_committed, &index.out_);
-
+  }
   index.build_stats_.in_labels = index.in_.hot.size();
   index.build_stats_.out_labels = index.out_.hot.size();
-  index.build_stats_.max_live_label_buffers = max_live;
-  index.build_stats_.label_window = window;
   return index;
 }
 
@@ -475,8 +370,8 @@ PathResult HlIndex::Path(NodeId s, NodeId t) const {
   if (best == kInfDist) return result;
 
   const NodeId hub = hub_of_rank_[best_rank];
-  // Forward leg s → hub: every chain node carries an out-label for the hub
-  // (pruned nodes are never relaxed from), each hop one binary search.
+  // Forward leg s → hub: every parent lies on a shortest path to the hub and
+  // carries an out-label for it, each hop one binary search.
   result.nodes.push_back(s);
   NodeId u = s;
   for (std::size_t guard = 0; u != hub; ++guard) {
@@ -511,8 +406,9 @@ void HlIndex::Save(std::ostream& out) const {
   WriteTable(w, in_);
   WriteTable(w, out_);
   w.Pod(build_stats_.seconds);
-  w.Pod<std::uint64_t>(build_stats_.max_live_label_buffers);
-  w.Pod<std::uint64_t>(build_stats_.label_window);
+  // Two retired build-statistics slots, kept for the v2 byte layout.
+  w.Pod<std::uint64_t>(0);
+  w.Pod<std::uint64_t>(0);
 }
 
 HlIndex HlIndex::Load(std::istream& in) {
@@ -529,8 +425,8 @@ HlIndex HlIndex::Load(std::istream& in) {
     index.out_ = ReadV2Table(r);
   }
   index.build_stats_.seconds = r.Pod<double>();
-  index.build_stats_.max_live_label_buffers = r.Pod<std::uint64_t>();
-  index.build_stats_.label_window = r.Pod<std::uint64_t>();
+  r.Pod<std::uint64_t>();  // The two retired build-statistics slots.
+  r.Pod<std::uint64_t>();
   index.build_stats_.in_labels = index.in_.hot.size();
   index.build_stats_.out_labels = index.out_.hot.size();
 

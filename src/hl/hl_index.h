@@ -3,21 +3,35 @@
 // distance queries below every hierarchy-traversal method in this repo.
 //
 // Every node v carries two flat label arrays sorted by hub rank:
-//   Lout(v) = { (h, d(v→h)) }   and   Lin(v) = { (h, d(h→v)) },
-// built by one pruned forward + one pruned backward Dijkstra per hub, in
-// importance order (the reverse CH greedy contraction order — the same
-// notion of importance the CH/AH hierarchies rank by). A distance query is
-// a single merge join over Lout(s) and Lin(t): min over common hubs of the
-// two label distances — no heap, no graph traversal, O(|Lout|+|Lin|) array
-// scans. Pruning keeps labels small: a node already covered by
-// higher-ranked hubs at its settle distance is neither labeled nor relaxed
-// from, which preserves exactness (the highest-ranked node on a shortest
-// path is never pruned along it) while cutting label growth.
+//   Lout(v) = { (h, d(v→h)) }   and   Lin(v) = { (h, d(h→v)) }.
+// A distance query is a single merge join over Lout(s) and Lin(t): min over
+// common hubs of the two label distances — no heap, no graph traversal,
+// O(|Lout|+|Lin|) array scans.
+//
+// The labels are the canonical labels of the CH order (hub rank 0 = the last
+// contracted node): h is in Lout(v) iff h ranks highest on every shortest
+// v→h path — exactly what pruned landmark labeling in that order keeps. They
+// are derived from the CH search graph in one top-down sweep instead of one
+// pruned Dijkstra per hub (Abraham et al., "Hierarchical hub labelings for
+// shortest paths", ESA'12): each canonical hub of v is reached by an upward
+// CH path of exact length, so v's out-label candidates are (v, 0) plus its
+// upward neighbours' out-labels, each plus the arc weight, min-merged per
+// hub. Walked in ascending hub rank, a candidate (h, d) is kept unless an
+// entry (x, dx) already kept for v and Lin(h) give dx + Lin(h)[x] <= d —
+// PLL's pruning test. In-labels are the mirror image over the upward
+// in-arcs. The sweep also reads the shortcuts too long for the search
+// graph's 32-bit weights (HeavyArc), so labels stay exact past 2^32. Build
+// contracts in CH's greedy order (ContractAllGreedy, as ChIndex::Build
+// does); RebuildWithFrozenOrder contracts in the previous index's hub
+// order. Neither keeps the hierarchy.
 //
 // Paths are native: each label entry also has the adjacent *parent* one hop
-// toward (out-labels) or from (in-labels) the hub, so the best hub's two
-// legs unroll by parent-pointer walks with one binary search per hop —
-// zero distance probes (asserted by the conformance suite).
+// toward (out-labels) or from (in-labels) the hub — the first (last)
+// original-graph hop of the CH arc the entry came through. That node lies on
+// a shortest path to the hub, so it carries the hub too, at the distance
+// less the arc; the best hub's two legs unroll by parent-pointer walks with
+// one binary search per hop — zero distance probes (asserted by the
+// conformance suite).
 //
 // Storage layout. Each direction is one HlLabelTable: CSR offsets over
 // nodes and, in that CSR order, a *hot* array of 8-byte (hub rank, 32-bit
@@ -29,13 +43,6 @@
 // sorted by CSR position; merge joins consult it only when the bound would
 // improve their current best. Persisted as "AHHL" v2; Load also reads the
 // v1 image (16-byte interleaved labels) and validates every image.
-//
-// The parallel build is round-synchronous and deterministic: hubs run in
-// fixed rounds of kHubRound, each round's searches prune only against
-// labels committed before the round, and per-hub deltas are committed
-// serially in hub-rank order through the same bounded claim window SILC's
-// build uses — bit-identical output at any thread count, with at most
-// O(threads) per-hub delta buffers live.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +55,8 @@
 #include "util/types.h"
 
 namespace ah {
+
+class ContractionEngine;
 
 /// Hot-entry distance of a label whose exact distance is >= 2^32 - 1: a
 /// lower bound of the exact value, which lives in HlLabelTable::overflow.
@@ -102,36 +111,22 @@ struct HlBuildStats {
   double seconds = 0;
   std::size_t in_labels = 0;   ///< Total in-label entries.
   std::size_t out_labels = 0;  ///< Total out-label entries.
-  /// Peak number of per-hub delta buffers live during the build — bounded
-  /// by the claim window (O(build threads)), never by the hub count.
-  std::size_t max_live_label_buffers = 0;
-  /// The claim window the build ran with.
-  std::size_t label_window = 0;
-};
-
-struct HlParams {
-  /// Worker threads for the per-hub pruned searches (0 = the
-  /// util/parallel.h WorkerThreads() default). The label tables are
-  /// bit-identical at any thread count: rounds are a fixed partition of the
-  /// hub order and deltas are committed serially in hub-rank order.
-  std::size_t build_threads = 0;
 };
 
 class HlIndex {
  public:
-  /// Builds the full 2-hop labeling. `g` is only read during the build —
-  /// unlike the other indexes, queries never touch the graph again.
-  static HlIndex Build(const Graph& g, const HlParams& params = {});
+  /// Builds the full 2-hop labeling from CH's greedy hierarchy. `g` is only
+  /// read during the build — unlike the other indexes, queries never touch
+  /// the graph again.
+  static HlIndex Build(const Graph& g);
 
-  /// Weights-only rebuild: relabels `g` with `previous`'s frozen hub order,
-  /// skipping the greedy contraction that computes it. Pruned labeling is
-  /// exact for any hub order, so the labels answer queries on `g` exactly;
-  /// like Build, the result is bit-identical at any thread count. `g` must
-  /// have `previous`'s node count (weight deltas never change topology);
-  /// throws std::invalid_argument otherwise.
+  /// Weights-only rebuild: contracts `g` in `previous`'s frozen hub order,
+  /// skipping the greedy ordering, and derives its labels. Canonical labels
+  /// are exact for any hub order, so they answer queries on `g` exactly.
+  /// `g` must have `previous`'s node count (weight deltas never change
+  /// topology); throws std::invalid_argument otherwise.
   static HlIndex RebuildWithFrozenOrder(const Graph& g,
-                                        const HlIndex& previous,
-                                        const HlParams& params = {});
+                                        const HlIndex& previous);
 
   std::size_t NumNodes() const { return hub_of_rank_.size(); }
   const HlBuildStats& build_stats() const { return build_stats_; }
@@ -144,8 +139,7 @@ class HlIndex {
   PathResult Path(NodeId s, NodeId t) const;
 
   /// The label tables: read by the bucket-based DistanceMatrix, and exposed
-  /// so the build-determinism test can assert bit-identity across thread
-  /// counts.
+  /// so tests can compare them with a reference pruned labeling.
   const HlLabelTable& in_table() const { return in_; }
   const HlLabelTable& out_table() const { return out_; }
   const std::vector<NodeId>& hub_of_rank() const { return hub_of_rank_; }
@@ -161,13 +155,12 @@ class HlIndex {
   static HlIndex Load(std::istream& in);
 
  private:
-  /// The round-synchronous parallel labeling over a given hub order — the
-  /// shared tail of Build (fresh greedy order) and RebuildWithFrozenOrder
-  /// (order inherited from a previous index). Sets every field except
-  /// build_stats_.seconds, which the callers time themselves.
-  static HlIndex BuildWithHubOrder(const Graph& g,
-                                   std::vector<NodeId> hub_of_rank,
-                                   const HlParams& params);
+  /// The top-down label sweep over a fully contracted hierarchy (`rank` is
+  /// each node's contraction position) — the shared tail of Build and
+  /// RebuildWithFrozenOrder. Sets every field except build_stats_.seconds,
+  /// which the callers time themselves.
+  static HlIndex Derive(const ContractionEngine& contracted,
+                        std::vector<Rank> rank);
 
   std::vector<NodeId> hub_of_rank_;  // rank -> node id
   HlLabelTable in_;

@@ -46,22 +46,6 @@ TEST_P(AhPrunedSeedTest, PrunedModeMatchesDijkstraOnRoadGraphs) {
   }
 }
 
-TEST_P(AhPrunedSeedTest, ProximityOnlyMatchesDijkstra) {
-  Graph g = testing::MakeRoadGraph(22, GetParam() ^ 0xa5);
-  AhIndex index = AhIndex::Build(g);
-  AhQueryOptions options;
-  options.use_elevating = false;
-  AhQuery query(index, options);
-  Dijkstra dijkstra(g);
-  Rng rng(GetParam());
-  for (int q = 0; q < 80; ++q) {
-    const NodeId s = static_cast<NodeId>(rng.Uniform(g.NumNodes()));
-    const NodeId t = static_cast<NodeId>(rng.Uniform(g.NumNodes()));
-    ASSERT_EQ(query.Distance(s, t), dijkstra.Distance(s, t))
-        << "s=" << s << " t=" << t;
-  }
-}
-
 TEST_P(AhPrunedSeedTest, ElevatingOnlyMatchesDijkstra) {
   Graph g = testing::MakeRoadGraph(22, GetParam() ^ 0x5a);
   AhIndex index = AhIndex::Build(g);

@@ -37,6 +37,38 @@ TEST(ContractionEngineTest, ContractLineMiddleAddsShortcut) {
   }
 }
 
+TEST(ContractionEngineTest, ShortcutBeyondWeightRangeIsKeptAsHeavyArc) {
+  // 0 -> 1 -> 2 -> 3 with near-maximal weights: contracting 1 then 2 needs
+  // shortcuts 0->2 and 0->3 whose weights do not fit a Weight. They stay in
+  // the engine (0->3 builds on 0->2) and come out as exact HeavyArcs.
+  const Weight w = kMaxWeight - 1;
+  std::vector<HierArc> arcs = {{0, 1, w, kInvalidNode},
+                               {1, 2, w, kInvalidNode},
+                               {2, 3, 5, kInvalidNode}};
+  ContractionEngine engine(4, arcs);
+  EXPECT_EQ(engine.Contract(1), 1u);
+  EXPECT_EQ(engine.Contract(2), 1u);
+  EXPECT_TRUE(engine.RemainingArcs().empty());  // 0->3 is heavy.
+  engine.Contract(0);
+  engine.Contract(3);
+  ASSERT_EQ(engine.HeavyArcs().size(), 2u);
+  for (const HeavyArc& a : engine.HeavyArcs()) {
+    EXPECT_EQ(a.tail, 0u);
+    if (a.head == 2) {
+      EXPECT_EQ(a.weight, 2 * Dist{w});
+      EXPECT_EQ(a.mid, 1u);
+    } else {
+      EXPECT_EQ(a.head, 3u);
+      EXPECT_EQ(a.weight, 2 * Dist{w} + 5);
+      EXPECT_EQ(a.mid, 2u);
+    }
+  }
+  for (const HierArc& a : engine.EmittedArcs()) {
+    EXPECT_LT(a.weight, kMaxWeight);
+  }
+  EXPECT_EQ(engine.EmittedArcs().size(), 3u);  // The original arcs.
+}
+
 TEST(ContractionEngineTest, WitnessSuppressesRedundantShortcut) {
   // Triangle with a cheap bypass: contracting 1 must NOT add 0->2 because
   // the direct edge 0->2 (weight 5) witnesses the 0->1->2 path (weight 7).

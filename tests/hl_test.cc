@@ -1,11 +1,12 @@
 // Hub labeling: exactness against Dijkstra (including label distances that
 // overflow the 32-bit hot entries), label-array invariants, native path
-// recovery, build determinism across thread counts, and the bounded
-// in-flight delta-buffer guarantee of the windowed parallel build.
+// recovery, labels equal to a reference pruned labeling in the same hub
+// order, and parents that step one arc toward their hub.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <queue>
 #include <sstream>
 #include <vector>
 
@@ -193,42 +194,168 @@ TEST(HlTest, OverflowDistancesStayExact) {
   ExpectMatrixExact(updated, *oracle->RebuildWithFrozenOrder(updated));
 }
 
-// The build processes hubs in fixed rounds and commits deltas serially in
-// hub-rank order, so the tables must be bit-identical at any thread count
-// (what makes parallel HL rebuilds safe inside the registry's background
-// build worker).
-TEST(HlTest, ParallelBuildIsBitIdenticalAtAnyThreadCount) {
-  const Graph road = testing::MakeRoadGraph(13, 21);
-  const Graph split = testing::MakeDisconnectedGraph(40, 5);
-  for (const Graph* g : {&road, &split}) {
-    const HlIndex sequential = HlIndex::Build(*g, HlParams{1});
-    for (const std::size_t threads : {2u, 3u, 8u}) {
-      const HlIndex parallel = HlIndex::Build(*g, HlParams{threads});
-      ASSERT_EQ(parallel.hub_of_rank(), sequential.hub_of_rank())
-          << threads << " threads";
-      for (const auto& [p, q] :
-           {std::pair{&parallel.in_table(), &sequential.in_table()},
-            std::pair{&parallel.out_table(), &sequential.out_table()}}) {
-        ASSERT_EQ(p->first, q->first) << threads << " threads";
-        ASSERT_EQ(p->hot, q->hot) << threads << " threads";
-        ASSERT_EQ(p->parent, q->parent) << threads << " threads";
-        ASSERT_EQ(p->overflow, q->overflow) << threads << " threads";
+// One node's reference label: (hub rank, exact distance), ascending rank.
+using RefLabel = std::vector<std::pair<Rank, Dist>>;
+
+Dist RefQuery(const RefLabel& out, const RefLabel& in) {
+  Dist best = kInfDist;
+  for (std::size_t i = 0, j = 0; i < out.size() && j < in.size();) {
+    if (out[i].first == in[j].first) {
+      best = std::min(best, out[i++].second + in[j++].second);
+    } else if (out[i].first < in[j].first) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return best;
+}
+
+// Sequential pruned landmark labeling in `hub_of_rank` order: one pruned
+// Dijkstra per hub and direction, a node pruned when the labels of earlier
+// hubs already give at most its distance. Returns {in, out} labels.
+std::pair<std::vector<RefLabel>, std::vector<RefLabel>> PrunedLabeling(
+    const Graph& g, const std::vector<NodeId>& hub_of_rank) {
+  const std::size_t n = g.NumNodes();
+  std::vector<RefLabel> in(n), out(n);
+  std::vector<Dist> dist(n);
+  for (Rank r = 0; r < n; ++r) {
+    const NodeId hub = hub_of_rank[r];
+    for (const bool forward : {true, false}) {
+      std::vector<RefLabel>& labeled = forward ? in : out;
+      std::fill(dist.begin(), dist.end(), kInfDist);
+      using Item = std::pair<Dist, NodeId>;
+      std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+      dist[hub] = 0;
+      heap.push({0, hub});
+      while (!heap.empty()) {
+        const auto [d, v] = heap.top();
+        heap.pop();
+        if (d != dist[v]) continue;
+        const Dist covered =
+            forward ? RefQuery(out[hub], in[v]) : RefQuery(out[v], in[hub]);
+        if (covered <= d) continue;
+        labeled[v].push_back({r, d});
+        for (const Arc& a : forward ? g.OutArcs(v) : g.InArcs(v)) {
+          if (d + a.weight < dist[a.head]) {
+            dist[a.head] = d + a.weight;
+            heap.push({dist[a.head], a.head});
+          }
+        }
+      }
+    }
+  }
+  return {std::move(in), std::move(out)};
+}
+
+// The table's offsets, hot entries and overflow list equal the reference
+// labels (parents may differ on ties and are checked separately).
+void ExpectTableEquals(const HlLabelTable& table,
+                       const std::vector<RefLabel>& ref) {
+  HlLabelTable expected;
+  expected.first.push_back(0);
+  for (const RefLabel& label : ref) {
+    for (const auto& [hub, dist] : label) {
+      if (dist >= kHlDistOverflow) {
+        expected.overflow.push_back({expected.hot.size(), dist});
+        expected.hot.push_back({hub, kHlDistOverflow});
+      } else {
+        expected.hot.push_back({hub, static_cast<std::uint32_t>(dist)});
+      }
+    }
+    expected.first.push_back(expected.hot.size());
+  }
+  ASSERT_EQ(table.first, expected.first);
+  ASSERT_EQ(table.hot, expected.hot);
+  ASSERT_EQ(table.overflow, expected.overflow);
+}
+
+void ExpectPrunedLabeling(const Graph& g, const HlIndex& index) {
+  const auto [in, out] = PrunedLabeling(g, index.hub_of_rank());
+  ExpectTableEquals(index.in_table(), in);
+  ExpectTableEquals(index.out_table(), out);
+}
+
+// Every label entry (v, h, d) with parent p: the arc v→p (p→v for
+// in-labels) exists and p carries h at d minus its weight, so the Path walk
+// moves one arc toward the hub per step. Only the hub's own entry has no
+// parent.
+void ExpectParentsStepTowardHub(const Graph& g, const HlIndex& index) {
+  for (const bool forward : {true, false}) {
+    const HlLabelTable& table = forward ? index.out_table() : index.in_table();
+    for (NodeId v = 0; v < g.NumNodes(); ++v) {
+      for (std::uint64_t i = table.first[v]; i < table.first[v + 1]; ++i) {
+        const Rank hub = table.hot[i].hub;
+        const NodeId p = table.parent[i];
+        if (index.hub_of_rank()[hub] == v) {
+          ASSERT_EQ(p, kInvalidNode) << "own entry of " << v;
+          continue;
+        }
+        ASSERT_NE(p, kInvalidNode) << "v=" << v << " hub=" << hub;
+        const Weight w = forward ? g.ArcWeight(v, p) : g.ArcWeight(p, v);
+        ASSERT_NE(w, kMaxWeight) << "no arc between " << v << " and " << p;
+        const std::span<const HlEntry> labels = table.Of(p);
+        const auto it = std::lower_bound(
+            labels.begin(), labels.end(), hub,
+            [](const HlEntry& e, Rank r) { return e.hub < r; });
+        ASSERT_TRUE(it != labels.end() && it->hub == hub)
+            << "parent " << p << " of " << v << " lacks hub " << hub;
+        EXPECT_EQ(table.DistAt(table.first[p] + (it - labels.begin())),
+                  table.DistAt(i) - w)
+            << "v=" << v << " p=" << p << " hub=" << hub;
       }
     }
   }
 }
 
-// The windowed build holds at most O(threads) per-hub delta buffers live,
-// no matter how many hubs (= nodes) the graph has.
-TEST(HlTest, ParallelBuildBoundsLiveDeltaBuffers) {
-  const Graph g = testing::MakeRandomGraph(300, 900, 13);
-  for (const std::size_t threads : {2u, 4u}) {
-    const HlIndex index = HlIndex::Build(g, HlParams{threads});
-    const HlBuildStats& stats = index.build_stats();
-    EXPECT_EQ(stats.label_window, 2 * threads);
-    EXPECT_LE(stats.max_live_label_buffers, stats.label_window)
-        << threads << " threads";
-    EXPECT_GE(stats.max_live_label_buffers, 1u);
+// Updates every third node's first out-arc: a deterministic weight delta.
+Graph Reweighted(const Graph& base, std::uint64_t seed) {
+  Graph updated = base;
+  Rng rng(seed);
+  std::vector<WeightDelta> deltas;
+  for (NodeId v = 0; v < updated.NumNodes(); v += 3) {
+    if (updated.OutArcs(v).empty()) continue;
+    deltas.push_back({v, updated.OutArcs(v).front().head,
+                      static_cast<Weight>(1 + rng.Uniform(200))});
+  }
+  EXPECT_EQ(ApplyWeightDeltas(&updated, deltas).rejected, 0u);
+  return updated;
+}
+
+// The labels derived from the CH hierarchy are the canonical labels of its
+// order: exactly what sequential pruned labeling in that hub order keeps,
+// at the same distances — also after a frozen-order relabel.
+TEST_P(HlSeedTest, DerivedLabelsEqualPrunedLabeling) {
+  const Graph g = testing::MakeRoadGraph(14, GetParam());
+  const HlIndex index = HlIndex::Build(g);
+  ExpectPrunedLabeling(g, index);
+  ExpectParentsStepTowardHub(g, index);
+
+  const Graph updated = Reweighted(g, GetParam());
+  const HlIndex relabeled = HlIndex::RebuildWithFrozenOrder(updated, index);
+  EXPECT_EQ(relabeled.hub_of_rank(), index.hub_of_rank());
+  ExpectPrunedLabeling(updated, relabeled);
+  ExpectParentsStepTowardHub(updated, relabeled);
+}
+
+TEST(HlTest, DerivedLabelsEqualPrunedLabelingOnAdversarialGraphs) {
+  const Graph graphs[] = {
+      testing::MakeRandomGraph(60, 180, 7),
+      testing::MakeDisconnectedGraph(25, 8),
+      testing::MakeParallelArcGraph(24, 9),
+      testing::MakeDisconnectedGraph(40, 5),
+      testing::MakeHeavyWeightGraph(40, 100, 17),
+  };
+  for (const Graph& g : graphs) {
+    SCOPED_TRACE(::testing::Message() << "n=" << g.NumNodes());
+    const HlIndex index = HlIndex::Build(g);
+    ExpectPrunedLabeling(g, index);
+    ExpectParentsStepTowardHub(g, index);
+
+    const Graph updated = Reweighted(g, g.NumNodes());
+    const HlIndex relabeled = HlIndex::RebuildWithFrozenOrder(updated, index);
+    ExpectPrunedLabeling(updated, relabeled);
+    ExpectParentsStepTowardHub(updated, relabeled);
   }
 }
 

@@ -204,8 +204,8 @@ TEST(SerializeRoundTripTest, HlIndexLoadsVersion1Image) {
     w.Vector(built.out_table().first);
     w.Vector(v1_labels(built.out_table()));
     w.Pod(built.build_stats().seconds);
-    w.Pod<std::uint64_t>(built.build_stats().max_live_label_buffers);
-    w.Pod<std::uint64_t>(built.build_stats().label_window);
+    w.Pod<std::uint64_t>(0);  // The two build-statistics slots.
+    w.Pod<std::uint64_t>(0);
 
     const HlIndex loaded = HlIndex::Load(v1);
     EXPECT_EQ(loaded.hub_of_rank(), built.hub_of_rank());
