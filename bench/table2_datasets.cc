@@ -7,7 +7,7 @@ int main() {
   using namespace ah;
   using namespace ah::bench;
   PrintHeader("Table 2 — Dataset Characteristics",
-              "paper sizes vs. synthetic stand-ins (see DESIGN.md §4)");
+              "paper sizes vs. synthetic stand-ins generated offline");
 
   const std::size_t count = BenchDatasetCountFromEnv(10);
   const double scale = BenchScaleFromEnv();

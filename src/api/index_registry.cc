@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <stdexcept>
 #include <utility>
 
@@ -40,15 +41,41 @@ IndexRegistry::IndexRegistry(Graph base,
   default_backend_ = names_.front();
   current_.resize(names_.size());
   backend_rebuilds_.resize(names_.size());
-  // First generation builds synchronously: a registry is never observable
-  // half-built. MakeOracle throws on an unknown name, surfacing it here.
+  // First generation: the calling thread builds the first backend while
+  // every other backend builds on its own thread, so a cold start costs the
+  // slowest build rather than the sum. A registry is still never observable
+  // half-built: all builders join before the constructor returns, and the
+  // first failure in list order is rethrown (MakeOracle throws on an
+  // unknown name).
+  std::vector<std::unique_ptr<DistanceOracle>> oracles(names_.size());
+  std::vector<std::exception_ptr> errors(names_.size());
+  // The builders read the guarded base_ through this local (constructor
+  // bodies are exempt from the lock analysis; lambdas are not).
+  const Graph& graph = *base_;
+  const auto build = [&](std::size_t i) {
+    try {
+      oracles[i] = MakeOracle(names_[i], graph, options_);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  };
+  {
+    std::vector<std::jthread> builders;  // Joined on scope exit.
+    for (std::size_t i = 1; i < names_.size(); ++i) {
+      builders.emplace_back(build, i);
+    }
+    build(0);
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
   for (std::size_t i = 0; i < names_.size(); ++i) {
     auto epoch = std::make_shared<IndexEpoch>();
     epoch->backend = names_[i];
     epoch->backend_id = static_cast<std::uint32_t>(i);
     epoch->generation = 1;
     epoch->graph = base_;
-    epoch->oracle = MakeOracle(names_[i], *base_, options_);
+    epoch->oracle = std::move(oracles[i]);
     current_[i] = std::move(epoch);
   }
   worker_ = std::thread([this] { WorkerLoop(); });

@@ -107,9 +107,11 @@ class IndexRegistry {
   };
 
   /// Builds every backend in `backends` (distinct MakeOracle names; the
-  /// first is the default backend) over a private copy of `base`,
-  /// synchronously. Throws std::invalid_argument on an empty or duplicated
-  /// backend list or an unknown name.
+  /// first is the default backend) over a private copy of `base`. The
+  /// builds run side by side, one thread per backend after the first, and
+  /// all finish before the constructor returns. Throws std::invalid_argument
+  /// on an empty or duplicated backend list or an unknown name; when several
+  /// builds fail, the first failure in list order is the one thrown.
   IndexRegistry(Graph base, const std::vector<std::string>& backends,
                 const OracleOptions& options = {});
 

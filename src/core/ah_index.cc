@@ -41,6 +41,7 @@ AhIndex AhIndex::Build(const Graph& g, const AhParams& params) {
   const LevelAssignment assignment =
       AssignLevels(g, index.grids_, nuance, level_params);
   index.build_stats_.level_seconds = phase.Seconds();
+  index.build_stats_.level_iterations = assignment.iterations;
 
   phase.Restart();
   OrderingParams order_params = params.ordering;
@@ -367,9 +368,10 @@ const std::vector<Gateway>& GatewaySearch::Run(NodeId v, Level j,
     // outside the 5×5 region becomes a *boundary* hit so that every upward
     // chain leaving the region is still represented with an exact distance
     // (dropping it would lose shortest paths whose first level-j node lies
-    // beyond the region — see DESIGN.md §5 on elevating edges).
+    // beyond the region, and an elevating edge must stand for every upward
+    // chain out of the node).
     if (index_.level_[u] >= j || (u != v && !in_region(u))) {
-      hits_.push_back(Gateway{u, d});
+      hits_.push_back(Gateway{.node = u, .dist = d});
       continue;
     }
     if (++settled > index_.params_.gateway_settle_limit) {

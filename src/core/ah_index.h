@@ -71,6 +71,10 @@ struct AhBuildStats {
   Level max_level = 0;
   /// nodes_per_level[i] = #nodes whose final level is i.
   std::vector<std::size_t> nodes_per_level;
+  /// Per-iteration cost of the level computation, from AssignLevels (index
+  /// i-1 = iteration i). Empty after RebuildWithFrozenOrder, which reuses
+  /// the levels, and after Load: the index image does not store it.
+  std::vector<LevelIterationStats> level_iterations;
 };
 
 /// One elevating-edge target: either a node of level ≥ j, or a *boundary*
@@ -81,8 +85,12 @@ struct AhBuildStats {
 /// level-j node lies beyond the 5×5-cell region.
 struct Gateway {
   NodeId node = kInvalidNode;
+  /// Explicit zero padding: Save writes gateways as raw bytes, so the image
+  /// is reproducible only when no byte of the struct is left unset.
+  std::uint32_t pad = 0;
   Dist dist = 0;
 };
+static_assert(sizeof(Gateway) == 16);
 
 class AhIndex {
  public:

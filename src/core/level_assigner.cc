@@ -7,6 +7,7 @@
 #include "graph/light_graph.h"
 #include "hgrid/window.h"
 #include "util/parallel.h"
+#include "util/timer.h"
 
 namespace ah {
 
@@ -30,6 +31,7 @@ LevelAssignment AssignLevels(const Graph& g, const GridHierarchy& gh,
   for (Level i = 1; i <= h; ++i) {
     if (active.size() < params.min_active_nodes) break;
     ++iteration;
+    const Timer timer;
 
     const LightGraph lg(n, arcs);
     const SquareGrid& grid = gh.Grid(i);
@@ -38,14 +40,18 @@ LevelAssignment AssignLevels(const Graph& g, const GridHierarchy& gh,
     // Collect pseudo-arterial edges over every non-empty window of R_i.
     // Windows are independent; process them on worker threads (one
     // WindowProcessor per thread) and merge. The final sort+dedup makes the
-    // result independent of scheduling.
+    // result independent of scheduling. Top levels have few but costly
+    // windows, so chunks shrink with the window count until every thread
+    // gets work.
     const std::vector<Window> windows =
         EnumerateWindows(grid, cells, params.window_stride);
     const std::size_t num_threads = WorkerThreads();
+    const std::size_t chunk_size = std::clamp<std::size_t>(
+        windows.size() / (num_threads * 64), 1, 64);
     std::vector<std::unique_ptr<WindowProcessor>> processors(num_threads);
     std::vector<std::vector<std::pair<NodeId, NodeId>>> partial(num_threads);
     ParallelChunks(
-        windows.size(), 64,
+        windows.size(), chunk_size,
         [&](std::size_t, std::size_t begin, std::size_t end,
             std::size_t tid) {
           if (!processors[tid]) {
@@ -60,6 +66,11 @@ LevelAssignment AssignLevels(const Graph& g, const GridHierarchy& gh,
           }
         },
         num_threads);
+    LevelIterationStats& stats = result.iterations.emplace_back();
+    stats.windows = windows.size();
+    for (const auto& processor : processors) {
+      if (processor) stats.searches += processor->NumSearches();
+    }
     std::vector<std::pair<NodeId, NodeId>> edges;
     for (auto& p : partial) {
       edges.insert(edges.end(), p.begin(), p.end());
@@ -78,6 +89,7 @@ LevelAssignment AssignLevels(const Graph& g, const GridHierarchy& gh,
       }
     }
     result.pseudo_arterial[i - 1] = std::move(edges);
+    stats.seconds = timer.Seconds();
     if (cores.empty()) break;  // Nothing climbs higher; levels are final.
 
     for (NodeId v : cores) result.level[v] = i;
@@ -102,6 +114,7 @@ LevelAssignment AssignLevels(const Graph& g, const GridHierarchy& gh,
     arcs = ContractNodes(n, arcs, to_remove, params.contraction);
     std::sort(cores.begin(), cores.end());
     active = std::move(cores);
+    stats.seconds = timer.Seconds();
   }
   return result;
 }

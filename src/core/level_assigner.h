@@ -35,6 +35,16 @@ struct LevelAssignParams {
   std::int32_t window_stride = 1;
 };
 
+/// The cost of one iteration of the level computation (diagnostics).
+struct LevelIterationStats {
+  /// Non-empty 4×4 windows of the iteration's grid.
+  std::size_t windows = 0;
+  /// Local Dijkstra runs over those windows (WindowProcessor::NumSearches).
+  std::size_t searches = 0;
+  /// Wall-clock time of the iteration: window scan plus overlay reduction.
+  double seconds = 0;
+};
+
 struct LevelAssignment {
   /// Final level per node, in [0, max_level].
   std::vector<Level> level;
@@ -46,6 +56,9 @@ struct LevelAssignment {
   /// Active-core count after each iteration (diagnostics; index i-1 =
   /// cores remaining after iteration i).
   std::vector<std::size_t> cores_per_iteration;
+  /// Cost of each iteration run (index i-1 = iteration i), including a
+  /// final one that promoted nothing.
+  std::vector<LevelIterationStats> iterations;
 };
 
 /// Runs the incremental level computation over grids R_1..R_h.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "arterial/arterial.h"
 #include "hier/contraction.h"
@@ -75,10 +76,21 @@ FcIndex FcIndex::Build(const Graph& g, const FcParams& params) {
     std::vector<NodeId> shortcut_heads;
     std::uint32_t round = 0;
   };
+  // Shortcut and unpack arcs hold 32-bit weights. A longer shortcut
+  // distance is not truncated (that answers wrong later): the search stops
+  // at the arc and the build throws for the first such arc in source order.
+  // Unpack arcs need no check: they lie on a shortcut's parent chain, so
+  // with positive weights they are shorter than that shortcut.
+  struct Overflow {
+    NodeId tail = kInvalidNode;
+    NodeId head = kInvalidNode;
+    Dist dist = 0;
+  };
 
   const auto search_from = [&](NodeId u, SearchScratch& sc,
                                std::vector<HierArc>& shortcuts,
-                               std::vector<HierArc>& unpack) {
+                               std::vector<HierArc>& unpack,
+                               Overflow& overflow) {
     const Level lu = index.level_[u];
     const std::uint32_t round = ++sc.round;
     sc.heap.Clear();
@@ -102,6 +114,10 @@ FcIndex FcIndex::Build(const Graph& g, const FcParams& params) {
           // enc_x == 0 iff the certified path is the direct arc u→x, in
           // which case parent[x] == u and the midpoint stays invalid.
           const NodeId mid = sc.parent[x] == u ? kInvalidNode : sc.parent[x];
+          if (dx >= kMaxWeight) {
+            overflow = Overflow{u, x, dx};
+            return false;
+          }
           shortcuts.push_back(HierArc{u, x, static_cast<Weight>(dx), mid});
           sc.entry_stamp[x] = round;
           sc.shortcut_heads.push_back(x);
@@ -141,6 +157,7 @@ FcIndex FcIndex::Build(const Graph& g, const FcParams& params) {
         // already in the table.
       }
     }
+    return true;
   };
 
   const std::size_t threads =
@@ -151,6 +168,7 @@ FcIndex FcIndex::Build(const Graph& g, const FcParams& params) {
   const std::size_t num_chunks = n == 0 ? 0 : (n + chunk_size - 1) / chunk_size;
   std::vector<std::vector<HierArc>> chunk_shortcuts(num_chunks);
   std::vector<std::vector<HierArc>> chunk_unpack(num_chunks);
+  std::vector<Overflow> chunk_overflow(num_chunks);
   std::vector<std::unique_ptr<SearchScratch>> scratch(
       std::min<std::size_t>(std::max<std::size_t>(threads, 1), num_chunks));
   ParallelChunks(
@@ -160,11 +178,21 @@ FcIndex FcIndex::Build(const Graph& g, const FcParams& params) {
         if (!scratch[tid]) scratch[tid] = std::make_unique<SearchScratch>(n);
         SearchScratch& sc = *scratch[tid];
         for (std::size_t u = begin; u < end; ++u) {
-          search_from(static_cast<NodeId>(u), sc, chunk_shortcuts[chunk],
-                      chunk_unpack[chunk]);
+          if (!search_from(static_cast<NodeId>(u), sc, chunk_shortcuts[chunk],
+                           chunk_unpack[chunk], chunk_overflow[chunk])) {
+            break;
+          }
         }
       },
       threads);
+  for (const Overflow& o : chunk_overflow) {
+    if (o.tail != kInvalidNode) {
+      throw std::overflow_error(
+          "FcIndex::Build: arc " + std::to_string(o.tail) + "->" +
+          std::to_string(o.head) + " has distance " + std::to_string(o.dist) +
+          ", beyond fc's 32-bit arc weights");
+    }
+  }
   for (std::size_t c = 0; c < num_chunks; ++c) {
     hier_arcs.insert(hier_arcs.end(), chunk_shortcuts[c].begin(),
                      chunk_shortcuts[c].end());

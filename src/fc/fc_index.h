@@ -58,6 +58,8 @@ struct FcBuildStats {
 
 class FcIndex {
  public:
+  /// Throws std::overflow_error, naming the arc, when a shortcut distance
+  /// does not fit a 32-bit arc weight (at least kMaxWeight).
   static FcIndex Build(const Graph& g, const FcParams& params = {});
 
   std::size_t NumNodes() const { return level_.size(); }

@@ -1,9 +1,9 @@
 // Dataset catalog mirroring Table 2 of the paper.
 //
-// The paper's ten datasets are parts of the DIMACS US road network. Offline,
-// we synthesize stand-ins with the same names at a configurable node-count
-// scale, so every bench keys its rows on the paper's dataset identifiers
-// (see DESIGN.md §4, substitution 1).
+// The paper's ten datasets are parts of the DIMACS US road network. The
+// build cannot download them, so we synthesize stand-ins with the same names
+// at a configurable node-count scale, and every bench keys its rows on the
+// paper's dataset identifiers.
 #pragma once
 
 #include <cstdint>

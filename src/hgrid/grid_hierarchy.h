@@ -5,8 +5,9 @@
 // h so that each R_1 cell holds at most one node, which bounds
 // h ≤ log2(dmax/dmin) − 1. Real data may place distinct nodes arbitrarily
 // close together, so we choose the smallest depth at which almost every
-// occupied R_1 cell is single-occupancy (tolerance + hard cap; see
-// DESIGN.md §5).
+// occupied R_1 cell is single-occupancy: a small tolerated fraction of
+// shared cells, plus a hard cap on h, because insisting on one node per cell
+// would let two near-coincident nodes force an arbitrarily deep stack.
 #pragma once
 
 #include <cstdint>

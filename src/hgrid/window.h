@@ -117,8 +117,10 @@ class CellIndex {
 /// a single window at the origin is produced).
 ///
 /// `stride` restricts anchors to multiples of the stride (1 = every offset,
-/// the paper's "any region"; 2 = half-overlapping windows, which the AH
-/// level assigner uses as a preprocessing-speed knob — see DESIGN.md §5).
+/// the paper's "any region"; 2 = half-overlapping windows). Strides above 1
+/// are only a preprocessing-speed knob: they miss arterial edges that lie in
+/// the skipped windows, which breaks the Lemma-3 property AH's pruned query
+/// relies on.
 std::vector<Window> EnumerateWindows(const SquareGrid& grid,
                                      const CellIndex& index,
                                      std::int32_t stride = 1);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "fc/fc_index.h"
 #include "routing/dijkstra.h"
@@ -191,6 +193,26 @@ TEST(FcTest, ParallelBuildIsDeterministicAcrossThreadCounts) {
   serial.hierarchy().Save(serial_bytes);
   parallel.hierarchy().Save(parallel_bytes);
   EXPECT_EQ(serial_bytes.str(), parallel_bytes.str());
+}
+
+// Shortcut distances of 2^32 - 1 or more do not fit fc's 32-bit arc
+// weights. The build refuses with a typed error naming the arc, the same
+// arc at any thread count, instead of truncating it into wrong answers.
+TEST(FcTest, BuildRefusesDistancesBeyondArcWeights) {
+  const Graph g = testing::MakeHeavyWeightGraph(40, 100, 17);
+  std::string messages[2];
+  const std::size_t threads[2] = {1, 4};
+  for (int i = 0; i < 2; ++i) {
+    try {
+      FcIndex::Build(g, FcParams{.build_threads = threads[i]});
+      ADD_FAILURE() << "built at " << threads[i] << " threads";
+    } catch (const std::overflow_error& e) {
+      messages[i] = e.what();
+    }
+  }
+  EXPECT_NE(messages[0].find("FcIndex::Build: arc "), std::string::npos)
+      << messages[0];
+  EXPECT_EQ(messages[0], messages[1]);
 }
 
 }  // namespace

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "core/ah_index.h"
 #include "core/level_assigner.h"
 #include "test_util.h"
 
@@ -71,6 +78,60 @@ TEST(LevelAssignerTest, Deterministic) {
   Assigned b = Assign(16, 5);
   EXPECT_EQ(a.assignment.level, b.assignment.level);
   EXPECT_EQ(a.assignment.max_level, b.assignment.max_level);
+}
+
+// AhIndex::Save with its five wall-clock build timings zeroed; every other
+// byte is a function of the graph alone.
+std::string ImageWithoutTimings(const AhIndex& index) {
+  std::ostringstream out;
+  index.Save(out);
+  std::string bytes = out.str();
+  // The image ends with the timings, two u64 counts, two i32 levels and
+  // the nodes_per_level vector (u64 length, then u64 entries).
+  const std::size_t trailer =
+      5 * sizeof(double) + 2 * 8 + 2 * 4 + 8 +
+      8 * index.build_stats().nodes_per_level.size();
+  const auto timings = bytes.end() - static_cast<std::ptrdiff_t>(trailer);
+  std::fill(timings, timings + 5 * sizeof(double), '\0');
+  return bytes;
+}
+
+// Window chunks shrink to one window on levels with fewer than 64 windows
+// per thread; the sorted, deduplicated merge keeps the assignment and the
+// AH image identical at any thread count.
+TEST(LevelAssignerTest, BitIdenticalAtAnyThreadCount) {
+  const Graph g = testing::MakeRoadGraph(32, 6);
+  const GridHierarchy gh(g.Coords(), 12);
+  const Nuance nuance(6);
+  std::vector<LevelAssignment> runs;
+  for (const char* threads : {"1", "2", "4"}) {
+    setenv("AH_THREADS", threads, 1);
+    runs.push_back(AssignLevels(g, gh, nuance));
+  }
+  setenv("AH_THREADS", "1", 1);
+  const std::string serial_image = ImageWithoutTimings(AhIndex::Build(g));
+  setenv("AH_THREADS", "4", 1);
+  const std::string parallel_image = ImageWithoutTimings(AhIndex::Build(g));
+  unsetenv("AH_THREADS");
+
+  // The graph is deep enough for one-window chunks at 2 and 4 threads.
+  const std::vector<LevelIterationStats>& iterations = runs[0].iterations;
+  EXPECT_TRUE(std::any_of(iterations.begin(), iterations.end(),
+                          [](const LevelIterationStats& it) {
+                            return it.windows > 1 && it.windows < 2 * 64;
+                          }));
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    EXPECT_EQ(runs[r].level, runs[0].level) << "run " << r;
+    EXPECT_EQ(runs[r].pseudo_arterial, runs[0].pseudo_arterial) << "run " << r;
+    EXPECT_EQ(runs[r].cores_per_iteration, runs[0].cores_per_iteration)
+        << "run " << r;
+    ASSERT_EQ(runs[r].iterations.size(), iterations.size()) << "run " << r;
+    for (std::size_t i = 0; i < iterations.size(); ++i) {
+      EXPECT_EQ(runs[r].iterations[i].windows, iterations[i].windows);
+      EXPECT_EQ(runs[r].iterations[i].searches, iterations[i].searches);
+    }
+  }
+  EXPECT_EQ(serial_image, parallel_image);
 }
 
 TEST(LevelAssignerTest, ProducesMultipleLevelsOnRoadNetworks) {

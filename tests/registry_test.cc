@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "api/concurrent_engine.h"
 #include "api/distance_oracle.h"
 #include "graph/weight_update.h"
+#include "hier/search_graph.h"
 #include "routing/dijkstra.h"
 #include "test_util.h"
 #include "util/thread_annotations.h"
@@ -140,6 +142,47 @@ TEST_F(RegistryTest, RejectsBadConstructionAndUnknownBackends) {
 
   ConcurrentEngine engine(registry);
   EXPECT_THROW(engine.Lease("alt"), std::invalid_argument);
+}
+
+// The first generation builds its backends side by side. Each must come
+// out exactly as a solo build over the same graph, and a bad name after the
+// first still fails the constructor with its own error.
+TEST_F(RegistryTest, ConcurrentFirstBuildMatchesSoloBuilds) {
+  const Graph g = testing::MakeRoadGraph(14, 5);
+  const std::vector<std::string> names = {"ah", "hl", "ch", "alt"};
+  const IndexRegistry registry(g, names);
+
+  const auto search_graph_bytes = [](const DistanceOracle& oracle) {
+    std::ostringstream out;
+    if (const SearchGraph* sg = oracle.UpwardSearchGraph()) sg->Save(out);
+    return out.str();
+  };
+  const auto distance_checksum = [&](QuerySession& session) {
+    Rng rng(23);
+    std::uint64_t sum = 0;
+    for (int q = 0; q < 200; ++q) {
+      const NodeId s = static_cast<NodeId>(rng.Uniform(g.NumNodes()));
+      const NodeId t = static_cast<NodeId>(rng.Uniform(g.NumNodes()));
+      sum = sum * 1000003 + session.Distance(s, t);
+    }
+    return sum;
+  };
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    const EpochHandle epoch = registry.Current(name);
+    ASSERT_NE(epoch, nullptr);
+    const std::unique_ptr<DistanceOracle> solo = MakeOracle(name, g);
+    EXPECT_EQ(epoch->oracle->BuildStats().index_bytes,
+              solo->BuildStats().index_bytes);
+    EXPECT_EQ(search_graph_bytes(*epoch->oracle), search_graph_bytes(*solo));
+    EXPECT_EQ(distance_checksum(*epoch->NewSession()),
+              distance_checksum(*solo->NewSession()));
+  }
+  EXPECT_FALSE(search_graph_bytes(*registry.Current("ah")->oracle).empty());
+  EXPECT_FALSE(search_graph_bytes(*registry.Current("ch")->oracle).empty());
+
+  EXPECT_THROW(IndexRegistry(g, {"ch", "nope"}), std::invalid_argument);
+  EXPECT_THROW(IndexRegistry(g, {"ch", "hl", "nope"}), std::invalid_argument);
 }
 
 TEST_F(RegistryTest, QueueWeightUpdateValidatesAgainstBaseGraph) {
